@@ -140,9 +140,16 @@ class Superblock:
     #: (simple, complex, msrom) decode-path counts across members.
     decode_counts: Tuple[int, int, int]
     #: Specialized replay function generated by ``sbcompile.compile_replay``
-    #: (None when the trace compiler declined; the machine then replays
-    #: through the interpreted executor).
+    #: (tier 1).  None while the chain is cold, and for good when the trace
+    #: compiler declined; the machine then replays it through the
+    #: interpreted executor ``Chex86Machine._step_superblock`` (tier 0),
+    #: which is exact and meters every ``frontend.*`` counter the same way.
     replay: Optional[object] = None
+    #: Full entries counted while ``replay`` is None; ``run_quantum``
+    #: compiles the chain when this reaches
+    #: ``machine.SUPERBLOCK_HOT_ENTRIES``.  Not part of snapshots:
+    #: restored machines re-form their chains cold.
+    heat: int = 0
 
 
 def compile_superblock(machine, pc: int) -> Optional[Superblock]:

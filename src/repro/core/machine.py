@@ -64,10 +64,20 @@ _RAX = int(RET_REG)
 
 #: Middle setting of the 3-way ``block_cache_enabled`` knob: cache and
 #: replay per-instruction :class:`DecodedBlock`\ s but never form
-#: superblocks.  ``True`` (the default) additionally compiles and
+#: superblocks.  ``True`` (the default) additionally forms and
 #: replays superblocks; any falsy value forces the slow path (every
 #: dynamic instruction recompiles its block).
 BLOCK_CACHE_BLOCKS = "blocks"
+
+#: Tier-up threshold for superblock replay.  A newly formed chain runs
+#: on the interpreted executor (tier 0, :meth:`Chex86Machine.
+#: _step_superblock`); its Nth full entry calls ``compile_replay`` once,
+#: and that entry and all later ones run the generated function (tier
+#: 1).  Over the 36 Fig 6 PARSEC cells, the 1,248 of 5,520 chains that
+#: get this hot carry 87% of superblock-replayed instructions; the cold
+#: rest would each pay a ~3.5 ms ``compile()``.  Chosen from a measured
+#: sweep of 8/16/32/64 (``docs/api.md``, Tiers); a constant, not a knob.
+SUPERBLOCK_HOT_ENTRIES = 16
 
 
 class MachineError(Exception):
@@ -210,7 +220,7 @@ class Chex86Machine:
         self.block_cache_enabled = True
         self._blocks_compiled = 0
         self._blocks: Dict[int, DecodedBlock] = {}
-        # Superblock replay state: per-entry-pc compiled chains (None is
+        # Superblock replay state: per-entry-pc formed chains (None is
         # cached too, marking pcs where formation failed so the quantum
         # loop does not retry them), plus the frontend.* coverage
         # counters.  fallback_instructions counts every instruction
@@ -561,14 +571,21 @@ class Chex86Machine:
         number of instructions actually executed.
 
         In the default superblock mode (``block_cache_enabled is True``)
-        the loop replays whole compiled superblocks with one dispatch per
-        chain.  A superblock is entered only when replaying it in full is
-        exactly equivalent to per-instruction stepping: the remaining
-        budget covers its length, no execution trace or event tracer is
-        active, and no ``profile_interval``/``bbv_interval`` boundary
-        lands inside it.  Everything else — including a trapping
+        the loop replays whole superblocks with one dispatch per chain.
+        A superblock is entered only when replaying it in full is exactly
+        equivalent to per-instruction stepping: the remaining budget
+        covers its length, no execution trace or event tracer is active,
+        and no ``profile_interval``/``bbv_interval`` boundary lands inside
+        it.  Everything else — including a trapping
         ``CapabilityException`` mid-chain, which unwinds to the trapping
         member — takes the per-instruction path.
+
+        Entered chains replay in two tiers: the interpreted executor
+        :meth:`_step_superblock` while cold, then the generated function
+        from ``compile_replay``, requested once on the
+        :data:`SUPERBLOCK_HOT_ENTRIES`-th full entry.  Both tiers retire
+        through :meth:`_retire_members`, so every counter, ``frontend.*``
+        included, is the same whichever tier ran.
         """
         start = self.instructions
         executed = 0
@@ -594,6 +611,13 @@ class Chex86Machine:
                                 and (not bbv or
                                      self.instructions % bbv + n < bbv)):
                             replay = sb.replay
+                            if replay is None:
+                                # Tier 0; the Nth entry tiers up once (a
+                                # declined compile stays interpreted).
+                                sb.heat += 1
+                                if sb.heat == SUPERBLOCK_HOT_ENTRIES:
+                                    replay = sb.replay = compile_replay(
+                                        self, sb)
                             executed += (replay(self) if replay is not None
                                          else self._step_superblock(sb))
                             continue
@@ -766,14 +790,16 @@ class Chex86Machine:
         return block
 
     def _compile_superblock(self, pc: int) -> Optional[Superblock]:
+        # Forms the chain only; run_quantum generates its replay function
+        # once the chain is hot.  superblocks_compiled counts formations.
         superblock = compile_superblock(self, pc)
         if superblock is not None:
             self._superblocks_compiled += 1
-            superblock.replay = compile_replay(self, superblock)
         return superblock
 
     def _step_superblock(self, sb: Superblock) -> int:
-        """Replay one compiled superblock (the multi-instruction path).
+        """Replay one superblock interpreted (tier 0: cold chains, and
+        chains the trace compiler declined).
 
         Mirrors :meth:`step` member by member — fetch-group/icache
         charges, live tracker-dependent check injection, and the

@@ -1,13 +1,15 @@
-"""Superblock trace compiler: specialized replay functions.
+"""Superblock trace compiler: specialized replay functions (tier 1).
 
-The interpreted superblock executor (``Chex86Machine._step_superblock``)
-already amortizes per-*instruction* dispatch, but it still pays per-uop
+Superblock replay is two-tier.  A newly formed chain replays on the
+interpreted executor (``Chex86Machine._step_superblock``, tier 0), which
+already amortizes per-*instruction* dispatch but still pays per-uop
 interpretation: tuple unpacking, check-mode branching, handler calls, and
 attribute traffic for operands that are all pure functions of the static
-superblock.  This module closes that gap the way a trace cache does — by
-*compiling the trace*: for each :class:`~.fastpath.Superblock` it emits a
-straight-line Python function with every static decision folded at
-compile time:
+superblock.  Once a chain is hot (``machine.SUPERBLOCK_HOT_ENTRIES`` full
+entries) ``run_quantum`` calls :func:`compile_replay` once, and this
+module closes that gap the way a trace cache does — by *compiling the
+trace*: for each :class:`~.fastpath.Superblock` it emits a straight-line
+Python function with every static decision folded at compile time:
 
 * operand register indices, immediates, effective-address shapes, FU
   classes, and latencies appear as literals;
@@ -35,11 +37,13 @@ addresses, flag bit twiddling) is hoisted to compile time.  The local
 machine state; the trap handler retires the completed prefix and leaves
 ``rip`` at the trapping member, exactly like the interpreted executor.
 
-Compilation is refused (returning ``None``, which makes the machine fall
-back to the interpreted executor) when a checker co-processor is attached
+Compilation is refused (returning ``None``, which keeps the chain on
+the interpreted tier for good) when a checker co-processor is attached
 (rules may learn mid-run) or when a member uses a construct the emitter
 does not specialize; unknown uop kinds fall back to a plain handler call
-inside the generated code, so refusal is rare.
+inside the generated code, so refusal is rare.  Cold chains never reach
+this module: a ``compile()`` costs milliseconds, more than most chains
+ever save.
 """
 
 from __future__ import annotations
@@ -759,7 +763,9 @@ def _emit_member_commit(e: _Emitter, machine, retired_count: int) -> None:
 def compile_replay(machine, sb) -> Optional[object]:
     """Compile ``sb`` into a specialized replay function, or ``None``.
 
-    The returned callable has the same contract as
+    ``run_quantum`` calls this at most once per chain, on its
+    ``SUPERBLOCK_HOT_ENTRIES``-th full entry.  The returned callable has
+    the same contract as the tier-0 executor
     ``Chex86Machine._step_superblock``: called under ``run_quantum``'s
     entry guard, it replays the whole superblock, returns the number of
     members retired, and unwinds a trapping ``CapabilityException`` with
@@ -767,7 +773,8 @@ def compile_replay(machine, sb) -> Optional[object]:
 
     Refuses (returns ``None``) when a checker co-processor is attached:
     rule lookups are folded into the generated code, which is only sound
-    while the rule database cannot learn mid-run.
+    while the rule database cannot learn mid-run.  A refused chain is not
+    offered again.
     """
     if machine.checker is not None:
         return None

@@ -17,6 +17,13 @@ snapshots.  The only permitted difference is the ``frontend.*`` counter
 family (compile counts, superblock coverage): those *measure* the caches
 and necessarily differ between modes.
 
+Superblock mode itself has two tiers: cold chains replay on the
+interpreted executor, hot ones on generated code.  A short program
+reaches whichever tier its loop counts happen to allow, so the sweep and
+the mid-chain trap cases run twice with the tier-up threshold pinned —
+every chain compiled on its first entry, and none ever compiled — and
+both tiers are checked against the slow path.
+
 The same generator doubles as a transparency oracle across all four
 protected variants: a well-behaved program must flag no violations and
 finish in exactly the insecure baseline's architectural state.
@@ -30,6 +37,7 @@ see ``docs/fuzzing.md``).
 import pytest
 
 from repro.core import Chex86Machine, Variant
+from repro.core import machine as machine_mod
 from repro.core.machine import BLOCK_CACHE_BLOCKS
 from repro.fuzz import architectural_state, generate, generate_program
 from repro.isa import Reg, assemble
@@ -44,6 +52,18 @@ MODE_IDS = ("slow", "blocks", "superblock")
 
 BUDGET = 20_000
 N_PROGRAMS = 50
+
+#: Superblock tier-up thresholds: compile every chain on its first full
+#: entry (tier 1 only), or never (tier 0 only).
+TIERS = {"tier1": 1, "tier0": float("inf")}
+
+
+@pytest.fixture(params=tuple(TIERS))
+def tier(request, monkeypatch):
+    """Pin the superblock tier for the duration of one test."""
+    monkeypatch.setattr(machine_mod, "SUPERBLOCK_HOT_ENTRIES",
+                        TIERS[request.param])
+    return request.param
 
 
 def run_machine(program, variant, mode, *, trap: bool = False,
@@ -92,11 +112,20 @@ def assert_superblock_identity(machine: Chex86Machine) -> None:
             == machine.instructions)
 
 
+def assert_tier(machine: Chex86Machine, tier: str) -> None:
+    """The pinned tier is the one that replayed: every chain entered in
+    full has generated code on tier 1 and none has it on tier 0."""
+    entered = [sb for sb in machine._superblocks.values()
+               if sb is not None and sb.heat]
+    assert all((sb.replay is not None) is (tier == "tier1")
+               for sb in entered)
+
+
 class TestThreeWayDifferential:
     """Slow vs decoded-block vs superblock: bit-for-bit the same run."""
 
     @pytest.mark.parametrize("seed", range(N_PROGRAMS))
-    def test_well_behaved_program(self, seed):
+    def test_well_behaved_program(self, seed, tier):
         program = assemble(generate_program(seed), name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         reference, reference_result = run_machine(program, variant, False)
@@ -107,7 +136,7 @@ class TestThreeWayDifferential:
 
         for mode, mode_id in zip(MODES[1:], MODE_IDS[1:]):
             machine, result = run_machine(program, variant, mode)
-            label = f"seed {seed} ({variant.value}, {mode_id})"
+            label = f"seed {seed} ({variant.value}, {mode_id}, {tier})"
             assert result.halted, f"{label}: did not halt"
             assert result.instructions == reference_result.instructions
             assert result.cycles == reference_result.cycles
@@ -126,12 +155,13 @@ class TestThreeWayDifferential:
             assert machine.stats_summary() == reference.stats_summary()
             if mode is True:
                 assert_superblock_identity(machine)
+                assert_tier(machine, tier)
 
         # The slow path compiled once per dynamic instruction.
         assert reference._blocks_compiled == reference.instructions
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_violating_program_flags_identically(self, seed):
+    def test_violating_program_flags_identically(self, seed, tier):
         """The out-of-bounds profile's payload store must produce the
         *same* violation set in all three modes (trapping, so
         post-violation state is defined).  Under superblock replay the
@@ -145,15 +175,17 @@ class TestThreeWayDifferential:
         assert reference_result.flagged
         for mode, mode_id in zip(MODES[1:], MODE_IDS[1:]):
             machine, result = run_machine(program, variant, mode, trap=True)
-            assert result.flagged, f"seed {seed} ({mode_id}): not flagged"
+            label = f"seed {seed} ({mode_id}, {tier})"
+            assert result.flagged, f"{label}: not flagged"
             assert [str(v) for v in machine.violations.violations] \
                 == [str(v) for v in reference.violations.violations]
             assert result.instructions == reference_result.instructions
             assert result.cycles == reference_result.cycles
             assert architectural_state(machine) \
                 == architectural_state(reference)
-            assert_metrics_identical(machine, reference,
-                                     f"seed {seed} ({mode_id})")
+            assert_metrics_identical(machine, reference, label)
+            if mode is True:
+                assert_tier(machine, tier)
 
 
 class TestObservationBoundaries:

@@ -13,7 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Chex86Machine, Variant, ViolationKind
-from repro.isa import Reg
+from repro.core import machine as machine_mod
+from repro.core.machine import SUPERBLOCK_HOT_ENTRIES
+from repro.fuzz import generate, generate_program
+from repro.isa import Reg, assemble
 
 from conftest import assemble_main
 
@@ -147,12 +150,16 @@ loop:
         assert first.uops == second.uops
 
 
-HOT_LOOP = """
+def hot_loop(iterations: int) -> str:
+    """A counted loop whose ``loop`` chain is entered ``iterations - 1``
+    times (the first iteration runs inside the chain that falls into
+    it)."""
+    return f"""
     mov rdi, 64
     call malloc
     mov r12, rax
     mov rax, 0
-    mov rcx, 50
+    mov rcx, {iterations}
 loop:
     add rax, 3
     mov [r12 + 8], rax
@@ -160,6 +167,13 @@ loop:
     sub rcx, 1
     jne loop
 """
+
+
+# Hot enough that the loop chain tiers up to compiled replay.
+HOT_LOOP = hot_loop(2 * SUPERBLOCK_HOT_ENTRIES)
+
+#: A tier-up threshold no chain reaches: every chain stays on tier 0.
+NEVER = float("inf")
 
 
 class TestSuperblockFastPath:
@@ -249,3 +263,106 @@ class TestSuperblockFastPath:
                 assert machine.phase_counters()[
                     "frontend.superblock_instructions"] == 0
         assert results[False] == results[BLOCK_CACHE_BLOCKS] == results[True]
+
+
+def _formed(machine: Chex86Machine) -> list:
+    return [sb for sb in machine._superblocks.values() if sb is not None]
+
+
+class TestTiers:
+    """Cold chains replay on the interpreted executor (tier 0); the
+    ``SUPERBLOCK_HOT_ENTRIES``-th full entry compiles a chain once
+    (tier 1).  The tier is invisible to every meter."""
+
+    @pytest.fixture
+    def compile_calls(self, monkeypatch):
+        """Record ``(entry pc, heat, compiled)`` per ``compile_replay``."""
+        calls = []
+        original = machine_mod.compile_replay
+
+        def spy(machine, sb):
+            replay = original(machine, sb)
+            calls.append((sb.entry, sb.heat, replay is not None))
+            return replay
+
+        monkeypatch.setattr(machine_mod, "compile_replay", spy)
+        return calls
+
+    PROGRAMS = {
+        "hot-loop": lambda: assemble_main(HOT_LOOP),
+        "fuzz4": lambda: assemble(generate_program(4)),
+        "fuzz18": lambda: assemble(generate_program(18)),
+        "oob3": lambda: assemble(generate(3, "out-of-bounds").source),
+    }
+
+    @pytest.mark.parametrize("source", tuple(PROGRAMS))
+    def test_meters_identical_across_thresholds(self, monkeypatch, source):
+        """metrics_snapshot() and phase_counters(), frontend.* included,
+        do not depend on which tier replayed a chain."""
+        program = self.PROGRAMS[source]()
+        observed = {}
+        for threshold in (1, SUPERBLOCK_HOT_ENTRIES, NEVER):
+            monkeypatch.setattr(machine_mod, "SUPERBLOCK_HOT_ENTRIES",
+                                threshold)
+            machine = Chex86Machine(program, halt_on_violation=True)
+            machine.run(max_instructions=20_000)
+            compiled = [sb.replay is not None for sb in _formed(machine)]
+            if threshold == 1:
+                assert any(compiled)
+            elif threshold is NEVER:
+                assert not any(compiled)
+            observed[threshold] = (machine.metrics_snapshot(),
+                                   machine.phase_counters(),
+                                   str(machine.violations.violations))
+        assert observed[1] == observed[SUPERBLOCK_HOT_ENTRIES] \
+            == observed[NEVER]
+        assert observed[1][1]["frontend.superblock_instructions"] > 0
+
+    def test_cold_chains_are_never_compiled(self, compile_calls):
+        """A loop chain entered N-1 times stays on tier 0."""
+        machine = _machine(hot_loop(SUPERBLOCK_HOT_ENTRIES))
+        machine.run_quantum(200_000)
+        assert compile_calls == []
+        assert max(sb.heat for sb in _formed(machine)) \
+            == SUPERBLOCK_HOT_ENTRIES - 1
+        assert machine.phase_counters()[
+            "frontend.superblock_instructions"] > 0
+
+    def test_compiles_on_nth_full_entry(self, compile_calls):
+        machine = _machine(HOT_LOOP)
+        machine.run_quantum(200_000)
+        assert compile_calls
+        assert all(heat == SUPERBLOCK_HOT_ENTRIES and compiled
+                   for _, heat, compiled in compile_calls)
+        entries = [entry for entry, _, _ in compile_calls]
+        assert len(entries) == len(set(entries))
+        # Entries after the tier-up run compiled code and stop heating.
+        for sb in _formed(machine):
+            assert (sb.replay is not None) is \
+                (sb.heat == SUPERBLOCK_HOT_ENTRIES)
+
+    def test_bailouts_do_not_heat(self, compile_calls):
+        """Only full entries count: a budget below the chain length bails
+        out every time and never tiers up."""
+        machine = _machine(HOT_LOOP)
+        while not machine.halted:
+            machine.run_quantum(2)
+        loop = machine.program.labels["loop"]
+        loop_chain = machine._superblocks[loop]
+        assert loop_chain.length > 2
+        assert loop_chain.heat == 0 and loop_chain.replay is None
+        assert loop not in [entry for entry, _, _ in compile_calls]
+        assert machine.phase_counters()["frontend.superblock_bailouts"] > 0
+
+    def test_declined_compile_is_not_retried(self, compile_calls):
+        """On a checker-attached machine compile_replay returns None; the
+        chain stays on tier 0 with exactly one compile attempt."""
+        machine = _machine(hot_loop(4 * SUPERBLOCK_HOT_ENTRIES),
+                           enable_checker=True)
+        machine.run_quantum(200_000)
+        assert compile_calls
+        assert not any(compiled for *_, compiled in compile_calls)
+        entries = [entry for entry, _, _ in compile_calls]
+        assert len(entries) == len(set(entries))
+        assert max(sb.heat for sb in _formed(machine)) \
+            > 2 * SUPERBLOCK_HOT_ENTRIES

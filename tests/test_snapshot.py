@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.core import Chex86Machine, Variant
+from repro.core.machine import SUPERBLOCK_HOT_ENTRIES
 from repro.core.snapshot import (
     SNAPSHOT_SCHEMA,
     SnapshotError,
@@ -34,6 +35,7 @@ from repro.core.snapshot import (
     to_bytes,
 )
 from repro.isa import assemble
+from conftest import assemble_main
 from test_differential import (
     BUDGET,
     N_PROGRAMS,
@@ -159,23 +161,38 @@ class TestSuperblockCacheAcrossRestore:
     and the resumed run stays bit-identical."""
 
     def test_superblocks_recompile_lazily_after_restore(self):
-        program = assemble(generate_program(4), name="fuzz4")
+        """Heat is not serialized either: a chain that was hot before the
+        snapshot restarts cold and tiers up again after N more entries."""
+        hot = SUPERBLOCK_HOT_ENTRIES
+        program = assemble_main(f"""
+    mov rcx, {4 * hot}
+loop:
+    add rax, 3
+    add rbx, rax
+    sub rcx, 1
+    jne loop
+""")
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
-        machine.run_quantum(40)
-        assert not machine.halted
-        assert machine._superblocks, "run formed no superblocks"
+        while not any(sb is not None and sb.replay is not None
+                      for sb in machine._superblocks.values()):
+            assert not machine.halted
+            machine.run_quantum(20)
         restored = restore(machine.snapshot())
-        # The cache is not serialized: it starts empty...
+        # The caches are not serialized: they start empty...
         assert restored._superblocks == {}
         assert restored._blocks == {}
-        restored.run_quantum(BUDGET - 40)
-        # ...and repopulates (with compiled replay attached) on demand.
-        recompiled = [sb for sb in restored._superblocks.values()
-                      if sb is not None]
-        assert recompiled
-        assert any(sb.replay is not None for sb in recompiled)
-        machine.run_quantum(BUDGET - 40)
+        # ...reform lazily, cold...
+        restored.run_quantum(4 * (hot // 2))
+        loop_chain = restored._superblocks[program.labels["loop"]]
+        assert 0 < loop_chain.heat < hot
+        assert loop_chain.replay is None
+        # ...and re-attach compiled replay once the chain is hot again.
+        restored.run_quantum(BUDGET)
+        assert restored.halted
+        assert loop_chain.heat == hot
+        assert loop_chain.replay is not None
+        machine.run_quantum(BUDGET)
         assert observable_state(restored) == observable_state(machine)
 
     @pytest.mark.parametrize("mode", (False, "blocks", True),
