@@ -9,7 +9,10 @@ verdict, so drift is visible *before* the CI perf-smoke gate trips:
 
 * hot-loop rows compare current ``simulated_mips`` (aggregate and per
   workload) against the baseline under the same relative-regression
-  threshold the CI gate uses (default 30%, higher-is-better);
+  threshold the CI gate uses (default 30%, higher-is-better).  When
+  the record and the baseline both carry a ``calibration_ops_per_s``
+  host rate, every row gates MIPS per million calibration ops/s
+  (``*normalized_mips``) instead, so host speed and host load cancel;
 * the telemetry-overhead and SimPoint-speedup rows are informational
   (no baseline contract);
 * the SimPoint ``worst_error`` row is gated absolutely (default 10%,
@@ -132,6 +135,21 @@ def _mips_row(source: str, metric: str, value: float,
     return row
 
 
+def _hotloop_row(metric: str, value: float, reference: Optional[float],
+                 rates: tuple, max_regression: float) -> BenchRow:
+    """Gate one hot-loop MIPS figure; with host calibration rates for
+    both the record and the baseline, gate it normalized (renamed
+    ``*normalized_mips``)."""
+    rate, base_rate = rates
+    if rate and base_rate and reference is not None:
+        return _mips_row("hotloop",
+                         metric.replace("simulated_mips", "normalized_mips"),
+                         value / (rate / 1e6),
+                         float(reference) / (base_rate / 1e6),
+                         max_regression)
+    return _mips_row("hotloop", metric, value, reference, max_regression)
+
+
 def collect(record_dir: Union[str, Path] = ".",
             baseline_path: Optional[Union[str, Path]] = None,
             max_regression: float = DEFAULT_MAX_REGRESSION,
@@ -153,19 +171,22 @@ def collect(record_dir: Union[str, Path] = ".",
     if hotloop is None:
         report.missing.append(HOTLOOP_RECORD)
     else:
-        report.rows.append(_mips_row(
-            "hotloop", "aggregate_simulated_mips",
+        rates = (hotloop.get("calibration_ops_per_s"),
+                 baseline.get("calibration_ops_per_s"))
+        report.rows.append(_hotloop_row(
+            "aggregate_simulated_mips",
             float(hotloop.get("aggregate_simulated_mips", 0.0)),
-            baseline.get("aggregate_simulated_mips"), max_regression))
+            baseline.get("aggregate_simulated_mips"), rates,
+            max_regression))
         for entry in hotloop.get("workloads", []):
             if not isinstance(entry, dict):
                 continue
             name = entry.get("workload", "?")
             base = base_by_workload.get(name, {})
-            report.rows.append(_mips_row(
-                "hotloop", f"{name}.simulated_mips",
+            report.rows.append(_hotloop_row(
+                f"{name}.simulated_mips",
                 float(entry.get("simulated_mips", 0.0)),
-                base.get("simulated_mips"), max_regression))
+                base.get("simulated_mips"), rates, max_regression))
         telemetry = hotloop.get("telemetry")
         if isinstance(telemetry, dict) \
                 and "overhead_fraction" in telemetry:

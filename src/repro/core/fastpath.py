@@ -7,8 +7,9 @@ whole front-end product of one static instruction — native micro-ops,
 heap-interception plan, ``capCheck`` injection plan, fetch-slot count,
 MSROM flag — is therefore a pure function of ``(program, pc, variant)``
 and can be compiled once.  ``Chex86Machine.step()`` replays the
-precompiled plan per dynamic instance; only the tracker-dependent
-decisions (the base register's PID, predicted reloads) stay live.
+precompiled plan per dynamic instance through
+``Chex86Machine._execute_member``; only the tracker-dependent decisions
+(the base register's PID, predicted reloads) stay live.
 
 Per-instance statistics stay exact: the replay path charges decode
 counters, interception deltas, and check injection/suppression counters
@@ -19,9 +20,13 @@ One level up, :class:`Superblock` chains consecutive decoded blocks of a
 straight-line region into a single replay unit (the trace-cache idea:
 amortize per-instruction dispatch across a whole run of hot code).
 ``Chex86Machine.run_quantum`` replays superblocks with one dispatch per
-*block*, applying the aggregated decode/stat deltas in O(1) per replay;
-the per-member side table keeps fetch-group, icache, trace, BBV and
-profile-interval accounting bit-identical to per-instruction stepping.
+*chain*, applying the aggregated decode/stat deltas in O(1) per replay.
+The interpreted tier runs each member through the same
+``_execute_member`` body as ``step()``, after a ``TimingModel.fetch_block``
+charge from the per-member side table; the compiled tier is generated
+from the same side table.  Either way fetch-group, icache, trace, BBV
+and profile-interval accounting stay bit-identical to per-instruction
+stepping.
 """
 
 from __future__ import annotations

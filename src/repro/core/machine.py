@@ -62,13 +62,6 @@ from .violations import CapabilityException, Violation, ViolationKind, Violation
 _RSP = int(Reg.RSP)
 _RAX = int(RET_REG)
 
-#: Middle setting of the 3-way ``block_cache_enabled`` knob: cache and
-#: replay per-instruction :class:`DecodedBlock`\ s but never form
-#: superblocks.  ``True`` (the default) additionally forms and
-#: replays superblocks; any falsy value forces the slow path (every
-#: dynamic instruction recompiles its block).
-BLOCK_CACHE_BLOCKS = "blocks"
-
 #: Tier-up threshold for superblock replay.  A newly formed chain runs
 #: on the interpreted executor (tier 0, :meth:`Chex86Machine.
 #: _step_superblock`); its Nth full entry calls ``compile_replay`` once,
@@ -211,10 +204,9 @@ class Chex86Machine:
 
         # Decoded-block fast path: per-pc precompiled front-end plans and
         # the UopKind-indexed execute dispatch table (built once per core).
-        # block_cache_enabled is a 3-way knob: True (default) also forms
-        # and replays superblocks; BLOCK_CACHE_BLOCKS caches per-
-        # instruction blocks only; any falsy value forces the slow path —
-        # every dynamic instruction recompiles its block.  All three must
+        # block_cache_enabled: True (default) caches decoded blocks and
+        # forms and replays superblocks; False forces the slow path —
+        # every dynamic instruction recompiles its block.  The two must
         # be behaviourally identical (the differential fuzz suite's
         # oracle).
         self.block_cache_enabled = True
@@ -570,8 +562,8 @@ class Chex86Machine:
         A trapping violation halts the core and is recorded.  Returns the
         number of instructions actually executed.
 
-        In the default superblock mode (``block_cache_enabled is True``)
-        the loop replays whole superblocks with one dispatch per chain.
+        In the default superblock mode (``block_cache_enabled`` set) the
+        loop replays whole superblocks with one dispatch per chain.
         A superblock is entered only when replaying it in full is exactly
         equivalent to per-instruction stepping: the remaining budget
         covers its length, no execution trace or event tracer is active,
@@ -590,7 +582,7 @@ class Chex86Machine:
         start = self.instructions
         executed = 0
         try:
-            if self.block_cache_enabled is True:
+            if self.block_cache_enabled:
                 superblocks = self._superblocks
                 profile_interval = self.profile_interval
                 while not self.halted and executed < budget:
@@ -663,7 +655,9 @@ class Chex86Machine:
         interception + check-injection plan) into a :class:`DecodedBlock`;
         every later visit replays the plan and only consults the live
         tracker state (base-register PIDs) where the paper's prediction
-        policy demands it.
+        policy demands it.  The per-instruction front end (trace,
+        interception, decode counters, fetch) runs here; the member body
+        is :meth:`_execute_member`, shared with tier-0 superblock replay.
         """
         pc = self.rip
         block = self._blocks.get(pc)
@@ -688,72 +682,17 @@ class Chex86Machine:
         else:
             dstats.msrom += 1
         self.native_uops += block.native_uops
-        mcu = self.mcu
         if block.intercept_deltas is not None:
-            mcu.apply_intercept_stats(block.intercept_deltas)
+            self.mcu.apply_intercept_stats(block.intercept_deltas)
             if self._tracer is not None:
                 self._tracer.emit(self.timing.now, "uop_inject", pc,
                                   uops=block.intercept_deltas[4])
             if self._prov is not None:
                 self._prov.on_inject(pc, block.intercept_deltas[4])
         self.timing.begin_macro(pc, block.fetch_slots, block.msrom)
-
-        next_rip = block.fallthrough
-        mstats = mcu.stats
-        tracker = self.tracker
-        seq = self._seq
-        uops = 0
-        # The sequence number and uop count advance in locals and sync back
-        # in the finally block, so a trapping violation mid-instruction
-        # still leaves the machine state exact.
-        try:
-            for handler, uop, base_reg, mode, check in block.entries:
-                # ---- front end: pointer tracking + check injection --------
-                if mode:
-                    base_pid = tracker.current_pid(base_reg) \
-                        if base_reg >= 0 else 0
-                    if check is not None:
-                        # An injection site; the *_IF_PID mode defers to the
-                        # live tracker tag (prediction-driven policy).
-                        if mode == CHECK_INJECT or base_pid:
-                            mstats.injected_uops += 1
-                            mstats.capchecks += 1
-                            if self._prov is not None:
-                                self._prov.on_inject(pc, 1)
-                            check.pid = base_pid
-                            seq += 1
-                            uops += 1
-                            self._exec_capcheck(check, pc, seq)
-                            if self.halted:
-                                break
-                    elif mode == CHECK_SUPPRESS or base_pid:
-                        # Context-sensitive mode outside the critical ranges.
-                        mstats.capchecks_suppressed_context += 1
-
-                seq += 1
-                uops += 1
-                target = handler(uop, pc, seq)
-                if target is not None:
-                    next_rip = target
-                if self.halted:
-                    break
-        finally:
-            self._seq = seq
-            self.total_uops += uops
-
-        # ---- commit ----------------------------------------------------------
+        next_rip = self._execute_member(pc, block.entries, block.fallthrough)
         self.instructions += 1
         self._fallback_instructions += 1
-        if self._tracks:
-            tracker.commit(seq)
-            if self.store_buffer._pending:
-                committed = self.store_buffer.commit_upto(
-                    seq, self.alias_table, self.alias_cache)
-                for address, pid in committed:
-                    if pid:
-                        self.tlb.mark_alias_hosting(address)
-                    self.system.broadcast_alias_invalidate(
-                        address, self.core_id)
         if self.instructions % self.profile_interval == 0:
             self.interval_pid_counts.append(len(self._interval_pids))
             self._interval_pids = set()
@@ -801,85 +740,105 @@ class Chex86Machine:
         """Replay one superblock interpreted (tier 0: cold chains, and
         chains the trace compiler declined).
 
-        Mirrors :meth:`step` member by member — fetch-group/icache
-        charges, live tracker-dependent check injection, and the
-        per-member tracker/store-buffer commit all stay interleaved in
-        program order — while the bookkeeping nothing reads mid-chain
-        (decode counters, ``instructions``, ``timing.macro_ops``, BBV
-        counts) is applied as one batched delta by
-        :meth:`_retire_members`.  A trapping ``CapabilityException``
+        Each member runs through :meth:`_execute_member`, the body
+        :meth:`step` uses, after its fetch-group/icache charge, so check
+        injection and the per-member tracker/store-buffer commit stay
+        interleaved in program order.  The bookkeeping nothing reads
+        mid-chain (decode counters, ``instructions``,
+        ``timing.macro_ops``, BBV counts) is applied as one batched delta
+        by :meth:`_retire_members`.  A trapping ``CapabilityException``
         unwinds to exactly the state the per-instruction path would
         leave: completed members retired, the trapping member's
         front-end charges applied but its retire skipped, and ``rip`` at
         the trapping pc.  Returns the number of members retired.
         """
         fetch_block = self.timing.fetch_block
-        tracker = self.tracker
-        tracks = self._tracks
-        store_buffer = self.store_buffer
-        mstats = self.mcu.stats
+        execute_member = self._execute_member
         members = sb.members
-        seq = self._seq
-        uops = 0
         retired = 0
-        next_rip = self.rip
         try:
-            # The loop target binds each member's fallthrough to next_rip
-            # before its body runs; control uops overwrite it below.
-            for pc, slots, line, entries, next_rip in members:
+            for pc, slots, line, entries, fallthrough in members:
                 fetch_block(slots, line)
-                for handler, uop, base_reg, mode, check in entries:
-                    if mode:
-                        base_pid = tracker.current_pid(base_reg) \
-                            if base_reg >= 0 else 0
-                        if check is not None:
-                            if mode == CHECK_INJECT or base_pid:
-                                mstats.injected_uops += 1
-                                mstats.capchecks += 1
-                                check.pid = base_pid
-                                seq += 1
-                                uops += 1
-                                self._exec_capcheck(check, pc, seq)
-                                if self.halted:
-                                    break
-                        elif mode == CHECK_SUPPRESS or base_pid:
-                            mstats.capchecks_suppressed_context += 1
-                    seq += 1
-                    uops += 1
-                    target = handler(uop, pc, seq)
-                    if target is not None:
-                        next_rip = target
-                    if self.halted:
-                        break
-                if tracks:
-                    tracker.commit(seq)
-                    if store_buffer._pending:
-                        committed = store_buffer.commit_upto(
-                            seq, self.alias_table, self.alias_cache)
-                        for address, pid in committed:
-                            if pid:
-                                self.tlb.mark_alias_hosting(address)
-                            self.system.broadcast_alias_invalidate(
-                                address, self.core_id)
+                next_rip = execute_member(pc, entries, fallthrough)
                 retired += 1
                 if self.halted:
                     break
         except CapabilityException:
-            # Slow unwind: the trapping member's fetch/decode charges
-            # stand (as on the per-instruction path, which charges the
-            # front end before executing), but it does not retire.
+            # The trapping member's fetch/decode charges stand (as on the
+            # per-instruction path, which charges the front end before
+            # executing), but it does not retire.
             self._superblock_bailouts += 1
             self._retire_members(sb, retired, retired + 1)
             self.rip = members[retired][0]
             raise
-        finally:
-            # Local seq/uop counts sync back even on a trap, exactly as
-            # in step(), so mid-member state stays exact.
-            self._seq = seq
-            self.total_uops += uops
         self._retire_members(sb, retired, retired)
         self.rip = next_rip
         return retired
+
+    def _execute_member(self, pc: int, entries: Tuple[tuple, ...],
+                        next_rip: int) -> int:
+        """Execute and commit one decoded instruction; returns its
+        successor pc (``next_rip`` unless a control uop redirects).
+
+        The one interpreted copy of the member body, shared by
+        :meth:`step` and tier-0 superblock replay: live tracker-dependent
+        check injection, handler dispatch, then the tracker commit and
+        store-buffer drain.  The sequence number and uop count advance in
+        locals and sync back in the ``finally`` block, so a trapping
+        violation mid-instruction still leaves the machine state exact
+        (and skips the commit).
+        """
+        mstats = self.mcu.stats
+        tracker = self.tracker
+        seq = self._seq
+        uops = 0
+        try:
+            for handler, uop, base_reg, mode, check in entries:
+                # ---- front end: pointer tracking + check injection --------
+                if mode:
+                    base_pid = tracker.current_pid(base_reg) \
+                        if base_reg >= 0 else 0
+                    if check is not None:
+                        # An injection site; the *_IF_PID mode defers to the
+                        # live tracker tag (prediction-driven policy).
+                        if mode == CHECK_INJECT or base_pid:
+                            mstats.injected_uops += 1
+                            mstats.capchecks += 1
+                            if self._prov is not None:
+                                self._prov.on_inject(pc, 1)
+                            check.pid = base_pid
+                            seq += 1
+                            uops += 1
+                            self._exec_capcheck(check, pc, seq)
+                            if self.halted:
+                                break
+                    elif mode == CHECK_SUPPRESS or base_pid:
+                        # Context-sensitive mode outside the critical ranges.
+                        mstats.capchecks_suppressed_context += 1
+
+                seq += 1
+                uops += 1
+                target = handler(uop, pc, seq)
+                if target is not None:
+                    next_rip = target
+                if self.halted:
+                    break
+        finally:
+            self._seq = seq
+            self.total_uops += uops
+
+        # ---- commit ----------------------------------------------------------
+        if self._tracks:
+            tracker.commit(seq)
+            if self.store_buffer._pending:
+                committed = self.store_buffer.commit_upto(
+                    seq, self.alias_table, self.alias_cache)
+                for address, pid in committed:
+                    if pid:
+                        self.tlb.mark_alias_hosting(address)
+                    self.system.broadcast_alias_invalidate(
+                        address, self.core_id)
+        return next_rip
 
     def _retire_members(self, sb: Superblock, retired: int,
                         decoded: int) -> None:
@@ -965,19 +924,6 @@ class Chex86Machine:
         return counters
 
     # ------------------------------------------------------------ uop execute
-
-    def _execute_uop(self, uop: Uop, pc: int, seq: int,
-                     base_pid: int = 0) -> Optional[int]:
-        """Execute one micro-op functionally and charge its timing.
-
-        Dispatches through the per-kind handler table (the fast path calls
-        the handlers directly).  Returns a control-flow target when the uop
-        redirects fetch.
-        """
-        handler = self._dispatch.get(uop.kind)
-        if handler is None:
-            raise MachineError(f"unknown uop kind {uop.kind}")
-        return handler(uop, pc, seq)
 
     def _exec_limm(self, uop: Uop, pc: int, seq: int) -> None:
         self.regs[uop.dst] = uop.imm & MASK64
@@ -1416,15 +1362,9 @@ class Chex86Machine:
 # ALU and branch-condition semantics.
 # ---------------------------------------------------------------------------
 
-def _alu_compute(alu: AluOp, operands: List[int]) -> Tuple[int, bool, bool]:
-    """64-bit ALU semantics; returns (result, carry, overflow)."""
-    a = operands[0] if operands else 0
-    b = operands[1] if len(operands) > 1 else 0
-    return _alu_binary(alu, a, b)
-
-
 def _alu_binary(alu: AluOp, a: int, b: int) -> Tuple[int, bool, bool]:
-    """Two-operand ALU core (the execute loop extracts operands inline).
+    """64-bit two-operand ALU semantics; returns (result, carry,
+    overflow).  The execute loop extracts operands inline.
 
     Sign tests use the sign bit directly — ``(x >> 63) & 1`` agrees with
     ``to_s64(x) >= 0`` for every unsigned 64-bit pattern and skips the

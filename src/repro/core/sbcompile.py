@@ -90,7 +90,6 @@ _COND_EXPRS = {
 _PROLOGUE = (
     ("timing", "timing = m.timing"),
     ("schedule", "schedule = timing.schedule"),
-    ("schedule1", "schedule1 = timing.schedule_simple"),
     ("t_stats", "t_stats = timing.stats"),
     ("fetch_line", "fetch_line = timing.fetch_line"),
     ("mem_access", "mem_access = timing.mem_access"),
@@ -461,14 +460,10 @@ def _emit_alu(e: _Emitter, machine, uop: Uop) -> None:
         e.ns["_FLAGS"] = _FLAG_VALUES
     if machine._tracks:
         _emit_apply(e, machine, uop)
-    if alu is AluOp.MUL:
-        e.need.add("schedule")
-        e.line(f"schedule({srcs!r}, {uop.dst!r}, 3, 1, "
-               f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
-    else:
-        e.need.add("schedule1")
-        e.line(f"schedule1({srcs!r}, {uop.dst!r}, "
-               f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
+    latency, fu = (3, 1) if alu is AluOp.MUL else (1, 0)
+    e.need.add("schedule")
+    e.line(f"schedule({srcs!r}, {uop.dst!r}, {latency}, {fu}, "
+           f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
 
 
 def _emit_limm(e: _Emitter, machine, uop: Uop) -> None:
@@ -476,8 +471,8 @@ def _emit_limm(e: _Emitter, machine, uop: Uop) -> None:
     e.line(f"regs[{uop.dst}] = {uop.imm & MASK64}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
-    e.need.add("schedule1")
-    e.line(f"schedule1((), {uop.dst})")
+    e.need.add("schedule")
+    e.line(f"schedule((), {uop.dst}, 1)")
 
 
 def _emit_mov(e: _Emitter, machine, uop: Uop) -> None:
@@ -485,8 +480,8 @@ def _emit_mov(e: _Emitter, machine, uop: Uop) -> None:
     e.line(f"regs[{uop.dst}] = regs[{uop.srcs[0]}]")
     if machine._tracks:
         _emit_apply(e, machine, uop)
-    e.need.add("schedule1")
-    e.line(f"schedule1({uop.srcs!r}, {uop.dst})")
+    e.need.add("schedule")
+    e.line(f"schedule({uop.srcs!r}, {uop.dst}, 1)")
 
 
 def _emit_lea(e: _Emitter, machine, uop: Uop) -> None:
@@ -494,14 +489,14 @@ def _emit_lea(e: _Emitter, machine, uop: Uop) -> None:
     e.line(f"regs[{uop.dst}] = {_ea_expr(uop.mem)}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
-    e.need.add("schedule1")
-    e.line(f"schedule1({uop.reg_reads()!r}, {uop.dst})")
+    e.need.add("schedule")
+    e.line(f"schedule({uop.reg_reads()!r}, {uop.dst}, 1)")
 
 
 def _emit_nop(e: _Emitter, machine, uop: Uop) -> None:
     e.bump()
-    e.need.add("schedule1")
-    e.line("schedule1((), None)")
+    e.need.add("schedule")
+    e.line("schedule((), None, 1)")
 
 
 def _emit_zero_idiom(e: _Emitter, machine, uop: Uop) -> None:
@@ -675,8 +670,8 @@ def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
         raise _Unsupported(f"branch condition {uop.cond!r}")
     e.bump()
     e.flush()  # the squash path consumes seq
-    e.need.update(("schedule1", "resolve_cond", "taken_branch", "redirect"))
-    e.line(f"done = schedule1({uop.srcs!r}, None, True)")
+    e.need.update(("schedule", "resolve_cond", "taken_branch", "redirect"))
+    e.line(f"done = schedule({uop.srcs!r}, None, 1, 0, True)")
     e.line("_f = m.flags._value_")
     e.line(f"taken = {cond}")
     e.line(f"if resolve_cond({pc}, taken):")
@@ -696,8 +691,8 @@ def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
 
 def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
-    e.need.update(("schedule1", "taken_branch"))
-    e.line(f"schedule1({uop.srcs!r}, None)")
+    e.need.update(("schedule", "taken_branch"))
+    e.line(f"schedule({uop.srcs!r}, None, 1)")
     instrs = machine.program.instrs
     mi = uop.macro_index
     if 0 <= mi < len(instrs) and instrs[mi].op is Op.CALL:
@@ -710,8 +705,8 @@ def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
 def _emit_jmp_ind(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.flush()  # the squash path consumes seq
-    e.need.update(("schedule1", "resolve_ind", "taken_branch", "redirect"))
-    e.line(f"done = schedule1({uop.srcs!r}, None)")
+    e.need.update(("schedule", "resolve_ind", "taken_branch", "redirect"))
+    e.line(f"done = schedule({uop.srcs!r}, None, 1)")
     e.line(f"next_rip = regs[{uop.srcs[0]}]")
     instrs = machine.program.instrs
     mi = uop.macro_index
@@ -859,7 +854,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
     ns["SB"] = sb
     ns["PCS"] = tuple(member[0] for member in members)
     ns["CapEx"] = CapabilityException
-    if e.need & {"schedule", "schedule1", "t_stats", "fetch_line",
+    if e.need & {"schedule", "t_stats", "fetch_line",
                  "mem_access", "shadow_access", "taken_branch", "redirect",
                  "l1d_sets", "l1d_stats", "mem_miss", "occupy"}:
         e.need.add("timing")

@@ -9,7 +9,7 @@ claim into a closed loop:
 * :mod:`~repro.fuzz.generator` — deterministic grammar-based mini-x86
   programs covering every Table I rule class and violation profile;
 * :mod:`~repro.fuzz.oracles` — the pluggable correctness oracles
-  (3-mode differential, variant transparency, snapshot round-trip,
+  (slow-vs-superblock differential, variant transparency, snapshot round-trip,
   metric conservation);
 * :mod:`~repro.fuzz.coverage` — rule/violation/variant/metric-bucket
   coverage features;

@@ -37,9 +37,10 @@ DEFAULT_RULE = "default"
 class RuleHitRecorder(RuleDatabase):
     """A Table I rule database that counts dynamic ``lookup`` hits.
 
-    ``lookup`` is called live on every tracked micro-op in all three
-    execution modes (the memo is consulted *inside* the override), so
-    the counts reflect what the tracker actually evaluated.
+    The differential oracle attaches it to the slow-path reference,
+    where ``lookup`` is called live on every tracked micro-op (the memo
+    is consulted *inside* the override), so the counts reflect what the
+    tracker actually evaluated.
     """
 
     def __init__(self, rules=()) -> None:

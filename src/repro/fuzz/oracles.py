@@ -7,9 +7,11 @@ cross-checks them.  Machines are labeled with a *role* string
 :class:`~repro.fuzz.faults.BugInjection` can plant a bug into exactly
 one of them.
 
-* **differential** — slow path vs decoded blocks vs superblock replay:
-  identical instructions/cycles/uops, architectural state, violation
-  log, and every non-``frontend.*`` metric.
+* **differential** — slow path vs superblock replay: identical
+  instructions/cycles/uops, architectural state, violation log, and
+  every non-``frontend.*`` metric.  The superblock machine steps every
+  chain-less pc through the same decoded-block plans the slow path
+  recompiles, so cached-block replay is covered too.
 * **transparency** — the four protected variants vs the insecure
   baseline on the same program: well-behaved programs must finish in
   the identical architectural state with zero violations; violating
@@ -38,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import Chex86Machine, Variant
 from ..core.capability import Perm
-from ..core.machine import BLOCK_CACHE_BLOCKS
 from ..isa import Reg, assemble
 from ..telemetry import diff_snapshots
 from .coverage import (RuleHitRecorder, metric_features, variant_feature,
@@ -46,9 +47,10 @@ from .coverage import (RuleHitRecorder, metric_features, variant_feature,
 from .faults import BugInjection
 from .generator import DEFAULT_BUDGET, FuzzProgram, PROTECT_HOOK
 
-#: The three execution modes under differential test.
-MODES = (False, BLOCK_CACHE_BLOCKS, True)
-MODE_IDS = ("slow", "blocks", "superblock")
+#: The execution modes under differential test: the slow reference
+#: first, then superblock replay.
+MODES = (False, True)
+MODE_IDS = ("slow", "superblock")
 
 #: The four protected design points of the transparency sweep.
 PROTECTED_VARIANTS = (Variant.HW_ONLY, Variant.BINARY_TRANSLATION,
@@ -194,7 +196,7 @@ def _superblock_identity(ctx: _OracleContext, oracle: str, label: str,
 
 
 def oracle_differential(ctx: _OracleContext) -> None:
-    """Slow vs decoded-block vs superblock replay on one variant."""
+    """Slow path vs superblock replay on one variant."""
     variant = ctx.base_variant(0)
     recorder = RuleHitRecorder.table1()
     reference = ctx.machine(variant, False, "diff:slow", rules=recorder)
@@ -206,21 +208,18 @@ def oracle_differential(ctx: _OracleContext) -> None:
     ctx.report.coverage |= violation_features(reference.violations.kinds())
     ctx.report.coverage.add(variant_feature(variant))
 
-    for mode, mode_id in zip(MODES[1:], MODE_IDS[1:]):
-        machine = ctx.machine(variant, mode, f"diff:{mode_id}")
-        run = machine.run(max_instructions=ctx.budget)
-        label = f"{mode_id} ({variant.value})"
-        if run.cycles != result.cycles:
-            ctx.fail("differential", f"{label}: {run.cycles} vs "
-                                     f"{result.cycles} cycles")
-        if run.uops != result.uops:
-            ctx.fail("differential", f"{label}: {run.uops} vs "
-                                     f"{result.uops} uops")
-        _compare_runs(ctx, "differential", label, machine, reference)
-        if mode is True:
-            _superblock_identity(ctx, "differential", label, machine)
-            ctx.report.coverage |= metric_features(
-                machine.metrics_snapshot())
+    machine = ctx.machine(variant, True, "diff:superblock")
+    run = machine.run(max_instructions=ctx.budget)
+    label = f"superblock ({variant.value})"
+    if run.cycles != result.cycles:
+        ctx.fail("differential", f"{label}: {run.cycles} vs "
+                                 f"{result.cycles} cycles")
+    if run.uops != result.uops:
+        ctx.fail("differential", f"{label}: {run.uops} vs "
+                                 f"{result.uops} uops")
+    _compare_runs(ctx, "differential", label, machine, reference)
+    _superblock_identity(ctx, "differential", label, machine)
+    ctx.report.coverage |= metric_features(machine.metrics_snapshot())
 
 
 def oracle_transparency(ctx: _OracleContext) -> None:

@@ -227,63 +227,35 @@ class TimingModel:
         rides in the macro stream; an MSROM translation consumes the whole
         fetch group (the MSROM serializes legacy decoders).
         """
-        stats = self.stats
-        stats.macro_ops += 1
-        slots = self._fetch_width if msrom else fetch_slots
-        if self._group_used + slots > self._fetch_width:
-            self._fetch_cycle += 1
-            self._group_used = slots
-            stats.fetch_groups += 1
-        else:
-            self._group_used += slots
-        line = pc >> self._line_shift
-        if line != self._last_iline:
-            self._last_iline = line
-            if not self.l1i.access(line):
-                stats.icache_misses += 1
-                if self.l2.access(line):
-                    self._fetch_cycle += self._l2_latency
-                else:
-                    self._fetch_cycle += self._mem_latency
-                    stats.dram_bytes += self._line_bytes
+        self.stats.macro_ops += 1
+        self.fetch_block(self._fetch_width if msrom else fetch_slots,
+                         pc >> self._line_shift)
 
     def fetch_block(self, slots: int, line: int) -> None:
-        """Per-member fetch accounting for superblock replay.
+        """Fetch-group and icache accounting for one macro instruction.
 
-        The fetch-group and icache work of :meth:`begin_macro` with the
-        slot count (MSROM widening applied) and icache line precomputed
-        at superblock-compile time, and *without* the ``macro_ops`` bump
-        — the executor charges that as one batched delta per replay via
-        :meth:`commit_macros`.  Must stay interleaved per member: ROB
-        backpressure in :meth:`schedule` moves ``_fetch_cycle`` between
-        members, and icache refills share the L2 (and its LRU state)
-        with data misses.
+        Takes the slot count (MSROM widening applied) and icache line
+        precomputed, and leaves the ``macro_ops`` bump to the caller:
+        :meth:`begin_macro` on the per-instruction path, one batched
+        :meth:`commit_macros` per superblock replay.  Must stay
+        interleaved per member: ROB backpressure in :meth:`schedule`
+        moves ``_fetch_cycle`` between members, and icache refills share
+        the L2 (and its LRU state) with data misses.
         """
-        stats = self.stats
         if self._group_used + slots > self._fetch_width:
             self._fetch_cycle += 1
             self._group_used = slots
-            stats.fetch_groups += 1
+            self.stats.fetch_groups += 1
         else:
             self._group_used += slots
         if line != self._last_iline:
-            self._last_iline = line
-            if not self.l1i.access(line):
-                stats.icache_misses += 1
-                if self.l2.access(line):
-                    self._fetch_cycle += self._l2_latency
-                else:
-                    self._fetch_cycle += self._mem_latency
-                    stats.dram_bytes += self._line_bytes
+            self.fetch_line(line)
 
     def fetch_line(self, line: int) -> None:
-        """Icache half of :meth:`fetch_block` for a changed line.
+        """Icache access for a fetch that moved to a new line.
 
-        The superblock trace compiler inlines the fetch-group half (two
-        compares on precomputed slot counts) and only calls out when the
-        member starts a new icache line — the refill path, which shares
-        the L2 (and its LRU state) with data misses and so must stay a
-        real access in program order.
+        Generated superblock code inlines the fetch-group half of
+        :meth:`fetch_block` and calls this directly on a line change.
         """
         self._last_iline = line
         if not self.l1i.access(line):
@@ -326,22 +298,14 @@ class TimingModel:
             set_.move_to_end(line)
             l1.stats.hits += 1
             return self._l1_latency
-        l1.stats.misses += 1
-        l1._install(set_, line, True)
-        stats.l1d_misses += 1
-        if self.l2.access(address):
-            return self._l1_latency + self._l2_latency
-        stats.l2_misses += 1
-        stats.dram_bytes += self._line_bytes
-        return self._l1_latency + self._l2_latency + self._mem_latency
+        return self.mem_access_miss(address)
 
     def mem_access_miss(self, address: int) -> int:
-        """L1d-miss leg of :meth:`mem_access` for an inlined hit probe.
+        """L1d-miss leg of :meth:`mem_access`: install the line, count
+        the miss, and take the L2/DRAM legs.
 
-        The superblock trace compiler inlines the L1d hit path (and the
-        loads/stores counter) and calls this when the probe failed; the
-        install, miss counters, and L2/DRAM legs are identical to
-        :meth:`mem_access` on the same miss.
+        Generated superblock code inlines the L1d hit probe and calls
+        this directly when the probe fails.
         """
         stats = self.stats
         l1 = self.l1d
@@ -471,94 +435,6 @@ class TimingModel:
         rob.append(commit)
         if queue is not None:
             queue.append(commit)
-        if commit > self._last_commit:
-            self._last_commit = commit
-        return done
-
-    def schedule_simple(
-        self,
-        srcs: Tuple[int, ...],
-        dst: Optional[int],
-        reads_flags: bool = False,
-        writes_flags: bool = False,
-    ) -> int:
-        """:meth:`schedule` specialized for the single-cycle ALU shape.
-
-        Behaviorally identical — cycle for cycle and counter for counter
-        — to ``schedule(srcs, dst, 1, FuType.ALU, reads_flags,
-        writes_flags)``; the load/store-queue interaction (never taken
-        for the ALU class) and the latency/occupancy generality are
-        compiled out.  The superblock trace compiler emits this for ALU,
-        MOV, LIMM, LEA, NOP, and branch uops, which dominate the dynamic
-        mix; any change to :meth:`schedule`'s algorithm must be mirrored
-        here.
-        """
-        stats = self.stats
-        stats.uops += 1
-        stats.fu_uops[0] += 1
-        rob = self._rob
-        fetch_cycle = self._fetch_cycle
-        decode_depth = self._decode_depth
-        dispatch = fetch_cycle + decode_depth
-        if len(rob) >= self._rob_entries:
-            oldest = rob.popleft()
-            if oldest > dispatch:
-                dispatch = oldest
-                stats.rob_stall_events += 1
-                stalled_fetch = dispatch - decode_depth
-                if stalled_fetch > fetch_cycle:
-                    self._fetch_cycle = stalled_fetch
-        ready = dispatch
-        reg_ready = self._reg_ready
-        for src in srcs:
-            src_ready = reg_ready[src]
-            if src_ready > ready:
-                ready = src_ready
-        if reads_flags and reg_ready[_FLAGS] > ready:
-            ready = reg_ready[_FLAGS]
-        pool = self._pools[0]
-        if pool._single:
-            free = pool._free
-            cycle = ready if ready > free else free
-            pool._free = cycle + 1
-        else:
-            free = pool._free
-            earliest = free[0]
-            cycle = ready if ready > earliest else earliest
-            heapreplace(free, cycle + 1)
-        tags, counts = self._issue_tags, self._issue_counts
-        width = self._issue_width
-        while True:
-            slot = cycle & _RING_MASK
-            if tags[slot] != cycle:
-                tags[slot] = cycle
-                counts[slot] = 1
-                break
-            if counts[slot] < width:
-                counts[slot] += 1
-                break
-            cycle += 1
-        done = cycle + 1
-        if dst is not None:
-            reg_ready[dst] = done
-        if writes_flags:
-            reg_ready[_FLAGS] = done
-        commit = self._last_commit
-        if done > commit:
-            commit = done
-        tags, counts = self._commit_tags, self._commit_counts
-        width = self._commit_width
-        while True:
-            slot = commit & _RING_MASK
-            if tags[slot] != commit:
-                tags[slot] = commit
-                counts[slot] = 1
-                break
-            if counts[slot] < width:
-                counts[slot] += 1
-                break
-            commit += 1
-        rob.append(commit)
         if commit > self._last_commit:
             self._last_commit = commit
         return done

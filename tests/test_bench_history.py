@@ -117,6 +117,31 @@ class TestCollect:
         # The simpoint rows still appear.
         assert any(row.source == "simpoint" for row in report.rows)
 
+    def test_calibrated_records_gate_normalized_throughput(self, tmp_path):
+        """With a calibration rate on both sides, a host that is half as
+        fast (or half as free) halves MIPS and calibration alike: no
+        regression.  Half the MIPS at the same calibration rate trips."""
+        write_records(tmp_path, mips=0.05, base_mips=0.10)
+        for path, rate in ((tmp_path / HOTLOOP_RECORD, 10e6),
+                           (tmp_path / HOTLOOP_BASELINE, 20e6)):
+            document = json.loads(path.read_text())
+            document["calibration_ops_per_s"] = rate
+            path.write_text(json.dumps(document))
+        report = collect(record_dir=tmp_path)
+        assert report.regressions() == []
+        rows = {row.metric: row for row in report.rows}
+        assert rows["aggregate_normalized_mips"].value == 0.005
+        assert rows["mcf.normalized_mips"].verdict == "ok"
+        assert "aggregate_simulated_mips" not in rows
+
+        document = json.loads((tmp_path / HOTLOOP_RECORD).read_text())
+        document["calibration_ops_per_s"] = 20e6
+        (tmp_path / HOTLOOP_RECORD).write_text(json.dumps(document))
+        bad = collect(record_dir=tmp_path).regressions()
+        assert {row.metric for row in bad} \
+            == {"aggregate_normalized_mips", "mcf.normalized_mips",
+                "deepsjeng.normalized_mips"}
+
     def test_explicit_baseline_path(self, tmp_path):
         write_records(tmp_path, mips=0.10, base_mips=0.10)
         other = tmp_path / "other_baseline.json"

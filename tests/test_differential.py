@@ -1,16 +1,13 @@
-"""Differential fuzz sweep: slow path vs decoded-block fast path vs
-superblock replay.
+"""Differential fuzz sweep: slow path vs superblock replay.
 
 The front-end caches are pure performance transforms — they must never
 change what executes.  The oracle: run the same seeded random mini-x86
-program under all three execution modes —
+program under both execution modes —
 
 * ``block_cache_enabled = False`` — every dynamic instruction recompiles
   (the slow path),
-* ``block_cache_enabled = BLOCK_CACHE_BLOCKS`` — per-instruction decoded
-  block replay,
-* ``block_cache_enabled = True`` — superblock chains replayed with one
-  dispatch per chain (the default),
+* ``block_cache_enabled = True`` — cached decoded blocks, with
+  superblock chains replayed with one dispatch per chain (the default),
 
 and require identical architectural state, violation sets, and stats
 snapshots.  The only permitted difference is the ``frontend.*`` counter
@@ -38,7 +35,6 @@ import pytest
 
 from repro.core import Chex86Machine, Variant
 from repro.core import machine as machine_mod
-from repro.core.machine import BLOCK_CACHE_BLOCKS
 from repro.fuzz import architectural_state, generate, generate_program
 from repro.isa import Reg, assemble
 from repro.telemetry import diff_snapshots
@@ -46,9 +42,9 @@ from repro.telemetry import diff_snapshots
 VARIANTS = (Variant.HW_ONLY, Variant.BINARY_TRANSLATION,
             Variant.UCODE_ALWAYS_ON, Variant.UCODE_PREDICTION)
 
-#: The three execution modes under differential test.
-MODES = (False, BLOCK_CACHE_BLOCKS, True)
-MODE_IDS = ("slow", "blocks", "superblock")
+#: The execution modes under differential test (the reference first).
+MODES = (False, True)
+MODE_IDS = ("slow", "superblock")
 
 BUDGET = 20_000
 N_PROGRAMS = 50
@@ -122,7 +118,9 @@ def assert_tier(machine: Chex86Machine, tier: str) -> None:
 
 
 class TestThreeWayDifferential:
-    """Slow vs decoded-block vs superblock: bit-for-bit the same run."""
+    """Slow path vs superblock replay, each tier pinned in turn: the
+    slow reference, the interpreted tier and compiled replay give
+    bit-for-bit the same run."""
 
     @pytest.mark.parametrize("seed", range(N_PROGRAMS))
     def test_well_behaved_program(self, seed, tier):
@@ -163,7 +161,7 @@ class TestThreeWayDifferential:
     @pytest.mark.parametrize("seed", range(8))
     def test_violating_program_flags_identically(self, seed, tier):
         """The out-of-bounds profile's payload store must produce the
-        *same* violation set in all three modes (trapping, so
+        *same* violation set in every mode (trapping, so
         post-violation state is defined).  Under superblock replay the
         store usually traps mid-chain, exercising the partial-retire
         unwind path."""

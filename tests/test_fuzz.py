@@ -113,7 +113,7 @@ class TestBugSpec:
         injection = BugInjection.parse("drop-violation:diff:*@3")
         assert injection.role == "diff:*"
         assert injection.index == 3
-        assert injection.matches("diff:blocks")
+        assert injection.matches("diff:slow")
         assert not injection.matches("snapshot:restored")
         assert BugInjection.parse(injection.spec()) == injection
 

@@ -248,11 +248,9 @@ class TestSuperblockFastPath:
         assert machine.phase_counters()[
             "frontend.superblock_instructions"] > 0
 
-    def test_knob_accepts_three_settings(self):
-        from repro.core.machine import BLOCK_CACHE_BLOCKS
-
+    def test_knob_accepts_two_settings(self):
         results = {}
-        for mode in (False, BLOCK_CACHE_BLOCKS, True):
+        for mode in (False, True):
             machine = _machine(HOT_LOOP)
             machine.block_cache_enabled = mode
             machine.run_quantum(200_000)
@@ -262,7 +260,7 @@ class TestSuperblockFastPath:
             if mode is not True:
                 assert machine.phase_counters()[
                     "frontend.superblock_instructions"] == 0
-        assert results[False] == results[BLOCK_CACHE_BLOCKS] == results[True]
+        assert results[False] == results[True]
 
 
 def _formed(machine: Chex86Machine) -> list:
