@@ -52,7 +52,9 @@ Commands
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import time
 
 from .core import Chex86Machine, Variant
 from .eval import fig1, fig3, fig6, fig7, fig8, fig9, security
@@ -161,21 +163,47 @@ def _profile_out(args, stem: str) -> str:
     return f"{stem}.prof"
 
 
+class GcTimer:
+    """``gc.callbacks`` hook: collections per generation and their host
+    time, which cProfile charges to whatever allocated last."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+
+
 def _start_profiler(enabled: bool):
+    """Start cProfile plus a GC timer; ``None`` when not profiling."""
     if not enabled:
         return None
     import cProfile
 
+    gc_timer = GcTimer()
+    gc.callbacks.append(gc_timer)
     profiler = cProfile.Profile()
     profiler.enable()
-    return profiler
+    return profiler, gc_timer
 
 
-def _finish_profiler(profiler, path: str) -> None:
+def _finish_profiler(started, path: str) -> None:
+    profiler, gc_timer = started
     profiler.disable()
+    gc.callbacks.remove(gc_timer)
     profiler.dump_stats(path)
     print(f"profile: wrote {path} "
           f"(inspect with `python -m pstats {path}`)", file=sys.stderr)
+    counts = gc_timer.collections
+    print(f"host GC: {sum(counts)} collections "
+          f"({counts[0]}/{counts[1]}/{counts[2]}), "
+          f"{gc_timer.seconds:.3f} s", file=sys.stderr)
 
 
 def _print_phase_counters(counters) -> None:

@@ -512,7 +512,7 @@ def _emit_tlb(e: _Emitter, machine) -> None:
     e.line(f"_pn = address >> {PAGE_SHIFT}")
     e.line(f"_ts = tlb_sets[_pn % {num_sets}]")
     e.line("if _pn in _ts:")
-    e.line("_ts.move_to_end(_pn)", 1)
+    e.line("_ts[_pn] = _ts.pop(_pn)", 1)
     e.line("tlbc_stats.hits += 1", 1)
     e.line("tlb_stats.hits += 1", 1)
     e.line("else:")
@@ -527,7 +527,7 @@ def _emit_l1d(e: _Emitter, machine, out: Optional[str]) -> None:
     e.line(f"_ln = address >> {l1.line_shift}")
     e.line(f"_ds = l1d_sets[_ln % {l1.num_sets}]")
     e.line("if _ln in _ds:")
-    e.line("_ds.move_to_end(_ln)", 1)
+    e.line("_ds[_ln] = _ds.pop(_ln)", 1)
     e.line("l1d_stats.hits += 1", 1)
     if out is not None:
         e.line(f"{out} = {machine.timing._l1_latency}", 1)

@@ -66,7 +66,10 @@ from .violations import ViolationLog
 #: superblock_instructions, superblock_bailouts, fallback_instructions).
 #: v3: provenance recorder state (shadow call stack, capability
 #: lifecycles, per-context cost tables) — None when disarmed.
-SNAPSHOT_SCHEMA = 3
+#: v4: flat TAGE tables (per-level tag/counter/useful lists), the issue
+#: scoreboard as a cycle-keyed dict and the commit scoreboard as
+#: ``last_commit`` + ``commit_used`` (no slot rings).
+SNAPSHOT_SCHEMA = 4
 
 
 class SnapshotError(Exception):
@@ -99,6 +102,9 @@ _TIMING_FIELDS = ("cycles", "uops", "macro_ops", "squash_cycles",
                   "hostop_cycles", "fetch_groups", "icache_misses", "loads",
                   "stores", "l1d_misses", "l2_misses", "dram_bytes",
                   "shadow_dram_bytes", "rob_stall_events")
+# Scoreboard scalars ``_capture_timing`` copies as they are.
+_TIMING_SCALARS = ("_fetch_cycle", "_group_used", "_last_iline",
+                   "_last_commit", "_commit_used")
 _MEMORY_FIELDS = ("reads", "writes", "bytes_read", "bytes_written")
 _HEAP_FIELDS = ("total_allocs", "total_frees", "failed_allocs", "live",
                 "max_live", "bytes_allocated")
@@ -157,13 +163,44 @@ def _restore_cache(cache, state: Dict[str, object]) -> None:
         raise SnapshotError(
             f"cache {cache.name}: snapshot has {len(saved_sets)} sets, "
             f"machine has {len(cache._sets)} (config mismatch)")
-    for set_, items in zip(cache._sets, saved_sets):
-        set_.clear()
-        set_.update(items)
+    cache._sets[:] = [dict(items) for items in saved_sets]
     if cache._victim is not None and state["victim"] is not None:
-        cache._victim.clear()
-        cache._victim.update(state["victim"])
+        cache._victim = dict(state["victim"])
     _assign(cache.stats, state["stats"])
+
+
+def _capture_timing(timing) -> Dict[str, object]:
+    return {
+        "stats": _fields(timing.stats, _TIMING_FIELDS),
+        "fu_uops": list(timing.stats.fu_uops),
+        "l1i": _capture_cache(timing.l1i),
+        "l1d": _capture_cache(timing.l1d),
+        "pools": [pool._free if pool._single else list(pool._free)
+                  for pool in timing._pools],
+        "reg_ready": list(timing._reg_ready),
+        "rob": list(timing._rob),
+        "lq": list(timing._lq),
+        "sq": list(timing._sq),
+        "issue_counts": dict(timing._issue_counts),
+        "scalars": _fields(timing, _TIMING_SCALARS),
+    }
+
+
+def _restore_timing(timing, saved: Dict[str, object]) -> None:
+    _assign(timing.stats, saved["stats"])
+    timing.stats.fu_uops[:] = saved["fu_uops"]
+    _restore_cache(timing.l1i, saved["l1i"])
+    _restore_cache(timing.l1d, saved["l1d"])
+    for pool, free in zip(timing._pools, saved["pools"]):
+        # A multi-unit pool's free list was captured heap-ordered; copying
+        # it verbatim preserves the heap invariant.
+        pool._free = free if pool._single else list(free)
+    timing._reg_ready[:] = saved["reg_ready"]
+    timing._rob = deque(saved["rob"])
+    timing._lq = deque(saved["lq"])
+    timing._sq = deque(saved["sq"])
+    timing._issue_counts = dict(saved["issue_counts"])
+    _assign(timing, saved["scalars"])
 
 
 def capture(machine) -> Dict[str, object]:
@@ -185,7 +222,6 @@ def _capture(machine) -> Dict[str, object]:
     cond = predictors.cond
     tracker = machine.tracker
     reload_pred = machine.reload_predictor
-    timing = machine.timing
     system = machine.system
     allocator = system.allocator
     captable = system.captable
@@ -236,8 +272,9 @@ def _capture(machine) -> Dict[str, object]:
         "decode_stats": _fields(machine.decoder.stats, _DECODE_FIELDS),
         "predictors": {
             "bimodal": list(cond._bimodal),
-            "tables": [[(e.tag, e.ctr, e.useful) for e in table]
-                       for table in cond._tables],
+            "tags": [list(tags) for tags in cond._tags],
+            "ctrs": [list(ctrs) for ctrs in cond._ctrs],
+            "useful": [list(useful) for useful in cond._useful],
             "history": cond._history,
             "stats": _fields(cond.stats, _BRANCH_FIELDS),
             "btb": _capture_cache(predictors.btb),
@@ -273,26 +310,7 @@ def _capture(machine) -> Dict[str, object]:
             "stats": _fields(machine.tlb.stats, _TLB_FIELDS),
         },
         # Timing scoreboard.
-        "timing": {
-            "stats": _fields(timing.stats, _TIMING_FIELDS),
-            "fu_uops": list(timing.stats.fu_uops),
-            "l1i": _capture_cache(timing.l1i),
-            "l1d": _capture_cache(timing.l1d),
-            "pools": [pool._free if pool._single else list(pool._free)
-                      for pool in timing._pools],
-            "reg_ready": list(timing._reg_ready),
-            "rob": list(timing._rob),
-            "lq": list(timing._lq),
-            "sq": list(timing._sq),
-            "issue_tags": list(timing._issue_tags),
-            "issue_counts": list(timing._issue_counts),
-            "commit_tags": list(timing._commit_tags),
-            "commit_counts": list(timing._commit_counts),
-            "fetch_cycle": timing._fetch_cycle,
-            "group_used": timing._group_used,
-            "last_iline": timing._last_iline,
-            "last_commit": timing._last_commit,
-        },
+        "timing": _capture_timing(machine.timing),
         # System-shared state (single-core: owned by this machine's run).
         "system": {
             "memory_pages": {page: list(words)
@@ -429,11 +447,11 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
     saved = state["predictors"]
     cond = machine.predictors.cond
     cond._bimodal[:] = saved["bimodal"]
-    for table, entries in zip(cond._tables, saved["tables"]):
-        for entry, (tag, ctr, useful) in zip(table, entries):
-            entry.tag = tag
-            entry.ctr = ctr
-            entry.useful = useful
+    for tables, saved_tables in ((cond._tags, saved["tags"]),
+                                 (cond._ctrs, saved["ctrs"]),
+                                 (cond._useful, saved["useful"])):
+        for table, values in zip(tables, saved_tables):
+            table[:] = values
     cond._history = saved["history"]
     cond._refold()
     # In place: FrontEndPredictors.stats aliases cond.stats.
@@ -482,29 +500,7 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
     _restore_cache(machine.tlb._cache, state["tlb"]["cache"])
     _assign(machine.tlb.stats, state["tlb"]["stats"])
 
-    # Timing scoreboard.
-    saved = state["timing"]
-    timing = machine.timing
-    _assign(timing.stats, saved["stats"])
-    timing.stats.fu_uops[:] = saved["fu_uops"]
-    _restore_cache(timing.l1i, saved["l1i"])
-    _restore_cache(timing.l1d, saved["l1d"])
-    for pool, free in zip(timing._pools, saved["pools"]):
-        # A multi-unit pool's free list was captured heap-ordered; copying
-        # it verbatim preserves the heap invariant.
-        pool._free = free if pool._single else list(free)
-    timing._reg_ready[:] = saved["reg_ready"]
-    timing._rob = deque(saved["rob"])
-    timing._lq = deque(saved["lq"])
-    timing._sq = deque(saved["sq"])
-    timing._issue_tags[:] = saved["issue_tags"]
-    timing._issue_counts[:] = saved["issue_counts"]
-    timing._commit_tags[:] = saved["commit_tags"]
-    timing._commit_counts[:] = saved["commit_counts"]
-    timing._fetch_cycle = saved["fetch_cycle"]
-    timing._group_used = saved["group_used"]
-    timing._last_iline = saved["last_iline"]
-    timing._last_commit = saved["last_commit"]
+    _restore_timing(machine.timing, state["timing"])
 
     # System-shared state: every object is mutated in place (the machine,
     # allocator closures, and TLB all hold references into it).

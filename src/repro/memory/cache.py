@@ -13,7 +13,6 @@ LRU churn, and invalidation traffic in multicore runs.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -87,9 +86,11 @@ class SetAssocCache:
         self.line_shift = line_shift
         self.num_sets = entries // ways
         self.stats = CacheStats()
-        # Each set: OrderedDict keyed by line tag; most-recently-used last.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        self._victim: Optional[OrderedDict] = OrderedDict() if victim_entries else None
+        # Each set: a dict keyed by line tag, least-recently-used first (a
+        # hit re-inserts its key).  Unlike an OrderedDict, a dict of ints
+        # and bools is not tracked by the cyclic GC.
+        self._sets: List[Dict] = [{} for _ in range(self.num_sets)]
+        self._victim: Optional[Dict] = {} if victim_entries else None
         self._victim_capacity = victim_entries
 
     # -- core operations ------------------------------------------------------
@@ -99,7 +100,7 @@ class SetAssocCache:
         line = key >> self.line_shift
         set_ = self._sets[line % self.num_sets]
         if line in set_:
-            set_.move_to_end(line)
+            set_[line] = set_.pop(line)
             self.stats.hits += 1
             return True
         if self._victim is not None and line in self._victim:
@@ -125,8 +126,8 @@ class SetAssocCache:
         line = key >> self.line_shift
         set_ = self._sets[line % self.num_sets]
         if line in set_:
-            set_.move_to_end(line)
-            return set_[line]
+            value = set_[line] = set_.pop(line)
+            return value
         if self._victim is not None and line in self._victim:
             return self._victim[line]
         return None
@@ -168,22 +169,17 @@ class SetAssocCache:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def resident_keys(self) -> List[int]:
-        keys = [line for set_ in self._sets for line in set_]
-        if self._victim is not None:
-            keys.extend(self._victim)
-        return keys
-
     # -- internals -----------------------------------------------------------------
 
-    def _install(self, set_: OrderedDict, line: int, value) -> None:
+    def _install(self, set_: Dict, line: int, value) -> None:
         if len(set_) >= self.ways:
-            victim_line, victim_value = set_.popitem(last=False)
+            victim_line = next(iter(set_))
+            victim_value = set_.pop(victim_line)
             self.stats.evictions += 1
             if self._victim is not None:
                 self._victim[victim_line] = victim_value
                 if len(self._victim) > self._victim_capacity:
-                    self._victim.popitem(last=False)
+                    del self._victim[next(iter(self._victim))]
         set_[line] = value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -51,21 +51,18 @@ class Tlb:
 
         The hit path is inlined against the backing cache (the dtlb is
         built with ``line_shift=0`` and no victim array, so the key *is*
-        the line): one dict probe and an LRU touch, with the page-table
-        ``_hosting`` probe deferred to the refill path that consumes it.
+        the line): one dict probe and an LRU touch (re-inserting the page),
+        with the page-table ``_hosting`` probe deferred to the refill.
         """
         page = address >> PAGE_SHIFT
         cache = self._cache
         set_ = cache._sets[page % cache.num_sets]
         if page in set_:
-            set_.move_to_end(page)
+            set_[page] = set_.pop(page)
             cache.stats.hits += 1
             self.stats.hits += 1
             return True
-        cache.stats.misses += 1
-        # Refill picks up the current page-table alias-hosting bit.
-        cache._install(set_, page, page in self._hosting)
-        self.stats.misses += 1
+        self.refill(address)
         return False
 
     def refill(self, address: int) -> None:
@@ -73,8 +70,8 @@ class Tlb:
 
         The superblock trace compiler inlines the hit path of
         :meth:`access` (one dict probe + LRU touch) and calls this when
-        the probe failed; counter for counter it completes exactly what
-        :meth:`access` would have done on the same miss.
+        the probe failed, as :meth:`access` itself does.  The refill
+        picks up the current page-table alias-hosting bit.
         """
         page = address >> PAGE_SHIFT
         cache = self._cache

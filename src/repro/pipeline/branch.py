@@ -11,7 +11,7 @@ difficulty the way a real front end's would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..memory.cache import SetAssocCache
 
@@ -19,7 +19,7 @@ from ..memory.cache import SetAssocCache
 _HISTORIES = (4, 8, 16, 32)
 _TAG_BITS = 9
 _TABLE_BITS = 10  # 1024 entries per tagged component
-# Hoisted masks: ``_index_tag`` runs several times per resolved branch.
+# Hoisted masks: ``_refold`` runs once per resolved branch.
 _HISTORY_MASKS = tuple((1 << h) - 1 for h in _HISTORIES)
 _TABLE_MASK = (1 << _TABLE_BITS) - 1
 _TAG_MASK = (1 << _TAG_BITS) - 1
@@ -40,24 +40,20 @@ class BranchStats:
         return 1.0 - self.cond_mispredictions / self.cond_predictions
 
 
-class _TaggedEntry:
-    __slots__ = ("tag", "ctr", "useful")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.ctr = 0      # signed: >=0 taken
-        self.useful = 0
-
-
 class LTagePredictor:
-    """TAGE-style conditional branch predictor."""
+    """TAGE-style conditional branch predictor.
+
+    Each tagged component is three flat int lists (tag, signed counter,
+    useful bits) indexed alike, not one object per entry: the tables
+    stay a handful of GC-tracked lists however large they grow.
+    """
 
     def __init__(self) -> None:
         self._bimodal = [0] * 4096  # 2-bit signed counters, >=0 taken
-        self._tables: List[List[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(1 << _TABLE_BITS)]
-            for _ in _HISTORIES
-        ]
+        entries = 1 << _TABLE_BITS
+        self._tags = [[-1] * entries for _ in _HISTORIES]
+        self._ctrs = [[0] * entries for _ in _HISTORIES]  # signed: >=0 taken
+        self._useful = [[0] * entries for _ in _HISTORIES]
         self._history = 0
         # Folded-history cache, one (index, tag) fold per component;
         # refreshed whenever ``_history`` changes.
@@ -78,43 +74,44 @@ class LTagePredictor:
     # -- prediction -------------------------------------------------------------
 
     def predict(self, pc: int) -> bool:
-        provider, _ = self._find_provider(pc)
-        if provider is not None:
-            _, entry = provider
-            return entry.ctr >= 0
+        level, index = self._find_provider(pc)
+        if level >= 0:
+            return self._ctrs[level][index] >= 0
         return self._bimodal[self._bimodal_index(pc)] >= 0
 
     def update(self, pc: int, taken: bool) -> bool:
         """Train on the outcome; returns whether the prediction was correct."""
         # One provider search serves both the prediction and the training
         # (``predict`` is read-only, so searching twice is pure overhead).
-        provider, provider_level = self._find_provider(pc)
-        if provider is not None:
-            prediction = provider[1].ctr >= 0
+        level, index = self._find_provider(pc)
+        if level >= 0:
+            ctrs = self._ctrs[level]
+            prediction = ctrs[index] >= 0
         else:
             prediction = self._bimodal[self._bimodal_index(pc)] >= 0
         correct = prediction == taken
         self.stats.cond_predictions += 1
         if not correct:
             self.stats.cond_mispredictions += 1
-        if provider is not None:
-            _, entry = provider
-            entry.ctr = _nudge(entry.ctr, taken, limit=3)
+        if level >= 0:
+            ctrs[index] = _nudge(ctrs[index], taken, limit=3)
             if correct:
-                entry.useful = min(entry.useful + 1, 3)
+                useful = self._useful[level]
+                useful[index] = min(useful[index] + 1, 3)
         else:
             index = self._bimodal_index(pc)
             self._bimodal[index] = _nudge(self._bimodal[index], taken, limit=1)
         if not correct:
-            self._allocate(pc, taken, provider_level)
+            self._allocate(pc, taken, level)
         self._history = ((self._history << 1) | int(taken)) & ((1 << 64) - 1)
         self._refold()
         return correct
 
     # -- internals -----------------------------------------------------------------
 
-    def _find_provider(self, pc: int) -> Tuple[Optional[Tuple[int, _TaggedEntry]], int]:
-        """Longest-history tagged component hitting on ``pc``.
+    def _find_provider(self, pc: int) -> Tuple[int, int]:
+        """``(level, index)`` of the longest-history tagged component
+        hitting on ``pc``; ``(-1, -1)`` when none does.
 
         Uses the per-level folded-history cache (maintained by
         :meth:`update` when the history shifts) instead of re-folding the
@@ -124,32 +121,30 @@ class LTagePredictor:
         folded_tag = self._folded_tag
         pc2 = pc >> 2
         tag_base = pc2 ^ (pc >> 12)
-        tables = self._tables
+        tags = self._tags
         for level in range(len(_HISTORIES) - 1, -1, -1):
             index = (pc2 ^ folded_idx[level]) & _TABLE_MASK
-            entry = tables[level][index]
-            if entry.tag == (tag_base ^ folded_tag[level]) & _TAG_MASK:
-                return (index, entry), level
-        return None, -1
+            if tags[level][index] == (tag_base ^ folded_tag[level]) & _TAG_MASK:
+                return level, index
+        return -1, -1
 
     def _allocate(self, pc: int, taken: bool, provider_level: int) -> None:
-        """On mispredict, claim an entry in a longer-history component."""
-        for level in range(provider_level + 1, len(_HISTORIES)):
-            index, tag = self._index_tag(pc, level)
-            entry = self._tables[level][index]
-            if entry.useful == 0:
-                entry.tag = tag
-                entry.ctr = 0 if taken else -1
-                entry.useful = 0
-                return
-            entry.useful -= 1
+        """On mispredict, claim an entry in a longer-history component.
 
-    def _index_tag(self, pc: int, level: int) -> Tuple[int, int]:
-        history = self._history & _HISTORY_MASKS[level]
-        folded = _fold(history, _TABLE_BITS)
-        index = ((pc >> 2) ^ folded) & _TABLE_MASK
-        tag = ((pc >> 2) ^ _fold(history, _TAG_BITS) ^ (pc >> 12)) & _TAG_MASK
-        return index, tag
+        Runs before the history shifts, so the folded-history cache
+        still holds this branch's index and tag folds.
+        """
+        pc2 = pc >> 2
+        tag_base = pc2 ^ (pc >> 12)
+        for level in range(provider_level + 1, len(_HISTORIES)):
+            index = (pc2 ^ self._folded_idx[level]) & _TABLE_MASK
+            useful = self._useful[level]
+            if useful[index] == 0:
+                self._tags[level][index] = \
+                    (tag_base ^ self._folded_tag[level]) & _TAG_MASK
+                self._ctrs[level][index] = 0 if taken else -1
+                return
+            useful[index] -= 1
 
     @staticmethod
     def _bimodal_index(pc: int) -> int:

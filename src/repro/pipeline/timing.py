@@ -14,20 +14,23 @@ accounted as squash penalty cycles rather than simulated.
 Because ``schedule()`` runs once per simulated micro-op it is the single
 hottest function in the repository, and its data structures are flat:
 
-* issue- and commit-width accounting uses fixed-size *ring buffers*
-  indexed by ``cycle & mask`` with a cycle tag per slot (a stale tag reads
-  as an empty slot), instead of an ever-growing dict that needed periodic
-  200k-entry rebuilds;
+* commit-width accounting is two scalars, ``_last_commit`` and
+  ``_commit_used`` (slots taken at that cycle).  A commit slot is never
+  below ``_last_commit`` (commit is in order) and every slot ever taken
+  is at or below it, so only cycle ``_last_commit`` can be partly full:
+  a uop commits there if a slot is left, else at the next cycle;
+* issue-width accounting is a cycle-keyed dict of slots taken, pruned of
+  every cycle below ``_fetch_cycle + _decode_depth``.  No later uop can
+  issue below that floor: its dispatch is at least the floor at that
+  time, and ``_fetch_cycle`` never decreases.  A prune runs when the
+  dict passes a size limit, and the limit grows with what a prune keeps,
+  so pruning costs amortised O(1) per uop;
 * functional-unit pools keep their per-unit free times in a binary heap,
   so reserving the earliest-free unit is O(log units) instead of an
   O(units) min-scan (single-unit pools degenerate to one integer).
 
-Both structures reproduce the dict/min-scan schedules cycle-for-cycle:
-the ring is exact as long as no two in-flight cycles collide modulo the
-ring size (the live scheduling window is bounded by the ROB depth times
-the worst per-uop latency — a few tens of thousands of cycles — far
-below the 2^16 ring), and a heap pop returns the same minimum free time
-the scan found.
+All three reproduce a per-cycle slot map and a min-scan cycle for cycle,
+with no bound on the scheduling window.
 """
 
 from __future__ import annotations
@@ -44,10 +47,8 @@ from .config import CoreConfig
 #: Pseudo-register index used for the flags dependency.
 _FLAGS = NUM_UREGS
 
-#: Ring-buffer size for the per-cycle issue/commit slot counters.  Must be
-#: a power of two and comfortably larger than the live scheduling window.
-_RING_SIZE = 1 << 16
-_RING_MASK = _RING_SIZE - 1
+#: Issue-slot dict size that triggers the first prune of dead cycles.
+_ISSUE_PRUNE_AT = 1024
 
 #: Module-level copies of the two FuType indices ``schedule`` compares
 #: against per micro-op (a global load beats a class-attribute load).
@@ -109,10 +110,6 @@ class TimingStats:
             return 0.0
         seconds = self.cycles / (frequency_ghz * 1e9)
         return self.total_dram_bytes / seconds / 1e6
-
-    def fu_uops_by_name(self) -> Dict[str, int]:
-        """Per-functional-unit issue counts keyed by unit name."""
-        return dict(zip(FuType.NAMES, self.fu_uops))
 
     def register_metrics(self, registry, prefix: str = "timing") -> None:
         """Expose the cycle/traffic counters as ``<prefix>.*`` gauges.
@@ -194,16 +191,15 @@ class TimingModel:
         self._rob: Deque[int] = deque()
         self._lq: Deque[int] = deque()
         self._sq: Deque[int] = deque()
-        # Flat per-cycle slot scoreboard: counts[cycle & mask] is valid
-        # only while tags[cycle & mask] == cycle; stale slots read as 0.
-        self._issue_tags = [-1] * _RING_SIZE
-        self._issue_counts = [0] * _RING_SIZE
-        self._commit_tags = [-1] * _RING_SIZE
-        self._commit_counts = [0] * _RING_SIZE
+        # Issue slots taken per cycle, for cycles a later uop may still
+        # issue in; commit slots taken at ``_last_commit`` (see module doc).
+        self._issue_counts: Dict[int, int] = {}
+        self._issue_prune_at = _ISSUE_PRUNE_AT
         self._fetch_cycle = 0
         self._group_used = config.fetch_width  # force a fresh group first
         self._last_iline = -1
         self._last_commit = 0
+        self._commit_used = 0
         # Hot-loop config hoists (attribute loads per scheduled uop add up).
         self._fetch_width = config.fetch_width
         self._issue_width = config.issue_width
@@ -282,7 +278,9 @@ class TimingModel:
         """Data-cache access; returns the load-to-use latency in cycles.
 
         Both stores and loads allocate the line on a miss (write-allocate),
-        so the DRAM traffic accounting below is identical for either.
+        so the DRAM traffic accounting below is identical for either.  The
+        inlined L1d hit's LRU touch re-inserts the line (a set's insertion
+        order is its LRU order).
         """
         stats = self.stats
         if is_store:
@@ -295,7 +293,7 @@ class TimingModel:
         line = address >> l1.line_shift
         set_ = l1._sets[line % l1.num_sets]
         if line in set_:
-            set_.move_to_end(line)
+            set_[line] = set_.pop(line)
             l1.stats.hits += 1
             return self._l1_latency
         return self.mem_access_miss(address)
@@ -387,8 +385,8 @@ class TimingModel:
         if reads_flags and reg_ready[_FLAGS] > ready:
             ready = reg_ready[_FLAGS]
         # Issue: reserve a functional unit (inlined _FuPool.reserve), then
-        # find a cycle with a free issue slot, walking the ring forward
-        # from the unit's start cycle.
+        # find a cycle with a free issue slot, walking forward from the
+        # unit's start cycle.
         pool = self._pools[fu]
         if pool._single:
             free = pool._free
@@ -399,44 +397,33 @@ class TimingModel:
             earliest = free[0]
             cycle = ready if ready > earliest else earliest
             heapreplace(free, cycle + occupancy)
-        tags, counts = self._issue_tags, self._issue_counts
+        counts = self._issue_counts
         width = self._issue_width
-        while True:
-            slot = cycle & _RING_MASK
-            if tags[slot] != cycle:
-                tags[slot] = cycle
-                counts[slot] = 1
-                break
-            if counts[slot] < width:
-                counts[slot] += 1
-                break
+        used = counts.get(cycle, 0)
+        while used >= width:
             cycle += 1
+            used = counts.get(cycle, 0)
+        counts[cycle] = used + 1
+        if len(counts) > self._issue_prune_at:
+            self._prune_issue()
         done = cycle + latency
         if dst is not None:
             reg_ready[dst] = done
         if writes_flags:
             reg_ready[_FLAGS] = done
-        # Commit: find the in-order commit slot (inlined _commit_slot).
+        # Commit: take the in-order commit slot (inlined _commit_slot).
         commit = self._last_commit
         if done > commit:
-            commit = done
-        tags, counts = self._commit_tags, self._commit_counts
-        width = self._commit_width
-        while True:
-            slot = commit & _RING_MASK
-            if tags[slot] != commit:
-                tags[slot] = commit
-                counts[slot] = 1
-                break
-            if counts[slot] < width:
-                counts[slot] += 1
-                break
-            commit += 1
+            commit = self._last_commit = done
+            self._commit_used = 1
+        elif self._commit_used < self._commit_width:
+            self._commit_used += 1
+        else:
+            commit = self._last_commit = commit + 1
+            self._commit_used = 1
         rob.append(commit)
         if queue is not None:
             queue.append(commit)
-        if commit > self._last_commit:
-            self._last_commit = commit
         return done
 
     def register_metrics(self, registry, prefix: str = "timing") -> None:
@@ -475,10 +462,7 @@ class TimingModel:
         self.stats.hostop_cycles += latency
         if dst is not None:
             self._reg_ready[dst] = done
-        commit = self._commit_slot(done)
-        self._rob.append(commit)
-        if commit > self._last_commit:
-            self._last_commit = commit
+        self._rob.append(self._commit_slot(done))
         return done
 
     # -- control flow / recovery ------------------------------------------------------------
@@ -517,18 +501,22 @@ class TimingModel:
     # -- internals -------------------------------------------------------------------------------
 
     def _commit_slot(self, done: int) -> int:
-        cycle = self._last_commit
-        if done > cycle:
-            cycle = done
-        tags, counts = self._commit_tags, self._commit_counts
-        width = self._commit_width
-        while True:
-            slot = cycle & _RING_MASK
-            if tags[slot] != cycle:
-                tags[slot] = cycle
-                counts[slot] = 1
-                return cycle
-            if counts[slot] < width:
-                counts[slot] += 1
-                return cycle
-            cycle += 1
+        """Take the first commit slot at or after ``done`` (module doc)."""
+        commit = self._last_commit
+        if done <= commit:
+            if self._commit_used < self._commit_width:
+                self._commit_used += 1
+                return commit
+            done = commit + 1
+        self._last_commit = done
+        self._commit_used = 1
+        return done
+
+    def _prune_issue(self) -> None:
+        """Drop the cycles no later uop can issue in (module doc); the
+        next prune waits until the dict doubles what this one kept."""
+        floor = self._fetch_cycle + self._decode_depth
+        live = {cycle: used for cycle, used in self._issue_counts.items()
+                if cycle >= floor}
+        self._issue_counts = live
+        self._issue_prune_at = max(_ISSUE_PRUNE_AT, 2 * len(live))

@@ -184,6 +184,23 @@ class TestProfileOutDefault:
         counters = names[:-1]
         assert counters == sorted(counters)
 
+    def test_profile_reports_host_gc(self, tmp_path, monkeypatch, capsys):
+        import gc
+        import re
+
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "p.s"
+        path.write_text("main:\n    mov rax, 1\n    halt\n")
+        callbacks = list(gc.callbacks)
+        assert main(["run", str(path), "--no-heap-library"]) == 0
+        assert "host GC:" not in capsys.readouterr().err
+        assert main(["run", str(path), "--profile",
+                     "--no-heap-library"]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"host GC: \d+ collections \(\d+/\d+/\d+\), "
+                         r"\d+\.\d{3} s", err), err
+        assert gc.callbacks == callbacks
+
 
 class TestTranslateFlag:
     def test_run_translate_detects_via_explicit_checks(self, buggy_file,

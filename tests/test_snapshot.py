@@ -270,6 +270,22 @@ class TestSchemaAndWireFormat:
         with pytest.raises(SnapshotSchemaError):
             restore(pickle.dumps(tree))
 
+    def test_schema_3_payload_rejected(self):
+        """A checkpoint from before the flat predictor tables and the
+        ring-free scoreboard must not restore into today's layout."""
+        import pickle
+
+        tree = from_bytes(self._snapshot_bytes())
+        tree["schema"] = 3
+        timing = tree["state"]["timing"]
+        for name, value in timing.pop("scalars").items():
+            timing[name.lstrip("_")] = value
+        del timing["commit_used"]
+        timing.update(issue_tags=[-1] * 8, issue_counts=[0] * 8,
+                      commit_tags=[-1] * 8, commit_counts=[0] * 8)
+        with pytest.raises(SnapshotSchemaError, match="schema 3"):
+            restore(pickle.dumps(tree))
+
     def test_garbage_bytes_rejected(self):
         with pytest.raises(SnapshotError):
             from_bytes(b"not a snapshot at all")
