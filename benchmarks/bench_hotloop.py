@@ -104,7 +104,7 @@ def measure(name: str, scale: int, budget: int, repeats: int,
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
         if telemetry:
-            machine.attach_tracer(EventTracer())
+            machine.attach(EventTracer())
             machine.enable_quantum_metrics()
         if provenance:
             machine.enable_provenance()

@@ -554,7 +554,7 @@ def cmd_run(args) -> int:
             raise CliError(f"--trace-capacity must be >= 1, "
                            f"got {args.trace_capacity}")
         tracer = EventTracer(capacity=args.trace_capacity)
-        machine.attach_tracer(tracer)
+        machine.attach(tracer)
     profiler = _start_profiler(args.profile)
     result = machine.run(max_instructions=args.max_instructions)
     if profiler is not None:
@@ -902,7 +902,7 @@ def cmd_trace(args) -> int:
     machine = Chex86Machine(program, variant=_VARIANTS[args.variant],
                             halt_on_violation=False)
     tracer = EventTracer(capacity=args.capacity)
-    machine.attach_tracer(tracer)
+    machine.attach(tracer)
     machine.run(max_instructions=args.max_instructions)
 
     events = tracer.filtered(kinds=args.kind, pc=args.pc)

@@ -37,7 +37,6 @@ from ..pipeline.branch import FrontEndPredictors
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..pipeline.timing import FuType, TimingModel
 from ..telemetry.registry import MERGE_LAST, MetricsRegistry
-from ..telemetry.tracer import EventTracer
 from .alias import AliasCache, StoreBufferPids, WALK_LEVELS
 from .capability import CAPABILITY_BYTES, WILD_PID
 from .checker import HardwareChecker
@@ -280,15 +279,13 @@ class Chex86Machine:
 
         # Telemetry: the pull-based metrics registry reads the plain-int
         # stats counters above only when a snapshot is taken, so the hot
-        # loop never pays for it.  The event tracer is off (None) until
-        # attach_tracer(); emit sites test `self._tracer is not None`.
+        # loop never pays for it.  Each event site loops over the
+        # attached observers (attach()), an empty tuple when disarmed.
         self.telemetry = MetricsRegistry()
         self._register_metrics(self.telemetry)
-        self._tracer: Optional[EventTracer] = None
-        # Provenance recorder (telemetry.provenance); None until
-        # enable_provenance().  Emit sites test `self._prov is not None`
-        # so the disarmed hot path pays one identity check per site.
-        self._prov: Optional["ProvenanceRecorder"] = None
+        self._observers: Tuple[object, ...] = ()
+        # The attached recorder; _flag asks it for violation chains.
+        self.provenance: Optional["ProvenanceRecorder"] = None
         self._quantum_metrics = False
         self._quantum_base: Optional[Dict[str, float]] = None
         self.quantum_deltas: List[Dict[str, float]] = []
@@ -454,39 +451,34 @@ class Chex86Machine:
             self.bbv_vectors.append(self._bbv_current)
             self._bbv_current = {}
 
-    def attach_tracer(self, tracer: EventTracer) -> EventTracer:
-        """Start streaming structured events into ``tracer``."""
-        self._tracer = tracer
-        return tracer
+    def attach(self, observer):
+        """Send every event to ``observer.emit(ts, kind, pc, **fields)``
+        (kinds: docs/observability.md); armed machines only step."""
+        self._observers += (observer,)
+        return observer
 
-    def detach_tracer(self) -> Optional[EventTracer]:
-        tracer, self._tracer = self._tracer, None
-        return tracer
+    def detach(self, observer):
+        """Stop sending events to ``observer``; returns it."""
+        self._observers = tuple(obs for obs in self._observers
+                                if obs is not observer)
+        if observer is self.provenance:
+            self.provenance = None
+        return observer
 
     def enable_provenance(self, history_limit: int = 16):
         """Arm context-sensitive provenance recording (default off).
 
-        Returns the :class:`~repro.telemetry.provenance.ProvenanceRecorder`
-        now tracking this machine.  Armed machines bail out of superblock
-        replay into exact per-instruction execution (like the tracer), so
-        architectural results are identical — only timing-of-recording
-        differs.  Idempotent: re-enabling returns the live recorder.
+        Builds a :class:`~repro.telemetry.provenance.ProvenanceRecorder`,
+        attaches it and returns it.  Like every observer it makes the
+        machine bail out of superblock replay into exact per-instruction
+        execution, so architectural results are identical.  Idempotent:
+        re-enabling returns the live recorder.
         """
-        if self._prov is None:
+        if self.provenance is None:
             from ..telemetry.provenance import ProvenanceRecorder
-            self._prov = ProvenanceRecorder(self.program,
-                                            history_limit=history_limit)
-        return self._prov
-
-    def disable_provenance(self):
-        """Detach and return the recorder (None if never enabled)."""
-        recorder, self._prov = self._prov, None
-        return recorder
-
-    @property
-    def provenance(self):
-        """The armed provenance recorder, or None."""
-        return self._prov
+            self.provenance = self.attach(ProvenanceRecorder(
+                self.program, history_limit=history_limit))
+        return self.provenance
 
     def enable_quantum_metrics(self) -> None:
         """Record a metrics delta at every ``run_quantum`` boundary.
@@ -566,7 +558,7 @@ class Chex86Machine:
         loop replays whole superblocks with one dispatch per chain.
         A superblock is entered only when replaying it in full is exactly
         equivalent to per-instruction stepping: the remaining budget
-        covers its length, no execution trace or event tracer is active,
+        covers its length, no execution trace or observer is active,
         and no ``profile_interval``/``bbv_interval`` boundary lands inside
         it.  Everything else — including a trapping
         ``CapabilityException`` mid-chain, which unwinds to the trapping
@@ -596,8 +588,7 @@ class Chex86Machine:
                         bbv = self.bbv_interval
                         if (n <= budget - executed
                                 and not self._trace_active
-                                and self._tracer is None
-                                and self._prov is None
+                                and not self._observers
                                 and self.instructions % profile_interval + n
                                     < profile_interval
                                 and (not bbv or
@@ -684,11 +675,9 @@ class Chex86Machine:
         self.native_uops += block.native_uops
         if block.intercept_deltas is not None:
             self.mcu.apply_intercept_stats(block.intercept_deltas)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "uop_inject", pc,
-                                  uops=block.intercept_deltas[4])
-            if self._prov is not None:
-                self._prov.on_inject(pc, block.intercept_deltas[4])
+            for obs in self._observers:
+                obs.emit(self.timing.now, "uop_inject", pc,
+                         uops=block.intercept_deltas[4])
         self.timing.begin_macro(pc, block.fetch_slots, block.msrom)
         next_rip = self._execute_member(pc, block.entries, block.fallthrough)
         self.instructions += 1
@@ -804,8 +793,9 @@ class Chex86Machine:
                         if mode == CHECK_INJECT or base_pid:
                             mstats.injected_uops += 1
                             mstats.capchecks += 1
-                            if self._prov is not None:
-                                self._prov.on_inject(pc, 1)
+                            for obs in self._observers:
+                                obs.emit(self.timing.now, "inject", pc,
+                                         uops=1)
                             check.pid = base_pid
                             seq += 1
                             uops += 1
@@ -1038,8 +1028,8 @@ class Chex86Machine:
                 self.timing.shadow_access(self._walk_latency, 16)
                 self.timing.occupy(FuType.WALKER, done, self._walk_latency)
                 self.alias_cache.install(address, actual)
-                if self._prov is not None:
-                    self._prov.on_walk(pc)
+                for obs in self._observers:
+                    obs.emit(self.timing.now, "alias_walk", pc)
         elif self.tlb.page_hosts_aliases(address):
             actual, hit = self.alias_cache.lookup(address, self.alias_table)
             if not hit:
@@ -1048,18 +1038,15 @@ class Chex86Machine:
                 # and moves shadow traffic.
                 self.timing.shadow_access(self._walk_latency, 16)
                 self.timing.occupy(FuType.WALKER, done, self._walk_latency)
-                if self._prov is not None:
-                    self._prov.on_walk(pc)
+                for obs in self._observers:
+                    obs.emit(self.timing.now, "alias_walk", pc)
         else:
             actual = 0
         outcome = self.reload_predictor.update(pc, predicted, actual)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(self.timing.now, "predictor", pc,
-                        predicted=predicted, actual=actual,
-                        outcome=outcome or "correct")
-        if self._prov is not None:
-            self._prov.on_reload(pc, outcome or "correct")
+        for obs in self._observers:
+            obs.emit(self.timing.now, "predictor", pc,
+                     predicted=predicted, actual=actual,
+                     outcome=outcome or "correct")
         if self._tracked_policy:
             if outcome == MispredictKind.P0AN:
                 # Missing check: flush, squash, re-inject (Figure 5d).
@@ -1069,17 +1056,16 @@ class Chex86Machine:
                                      alias=True)
                 self.tracker.squash(seq)
                 self.store_buffer.squash_after(seq)
-                if tracer is not None:
-                    tracer.emit(self.timing.now, "squash", pc,
-                                cause="alias",
-                                penalty=self._flush_penalty)
+                for obs in self._observers:
+                    obs.emit(self.timing.now, "squash", pc, cause="alias",
+                             penalty=self._flush_penalty)
             elif outcome == MispredictKind.PNA0:
                 # The check injected for the predicted PID becomes a zero
                 # idiom, squashed at the instruction queue (Figure 5c).
                 ghost = Uop(UopKind.CAPCHECK, injected=True)
                 self.mcu.stats.injected_uops += 1
-                if self._prov is not None:
-                    self._prov.on_inject(pc, 1)
+                for obs in self._observers:
+                    obs.emit(self.timing.now, "inject", pc, uops=1)
                 self.mcu.demote_to_zero_idiom(ghost)
                 self.total_uops += 1
         if self.trace_reloads and actual > 0:
@@ -1132,8 +1118,8 @@ class Chex86Machine:
         if 0 <= macro_index < len(instrs) \
                 and instrs[macro_index].op is Op.CALL:
             self.predictors.on_call(pc + INSTR_SLOT)
-            if self._prov is not None:
-                self._prov.on_call(pc)
+            for obs in self._observers:
+                obs.emit(self.timing.now, "call", pc)
         self.timing.taken_branch()
         return uop.target
 
@@ -1146,9 +1132,9 @@ class Chex86Machine:
             if self._tracks:
                 self.tracker.squash(seq)
                 self.store_buffer.squash_after(seq)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "squash", pc,
-                                  cause="branch", penalty=self._br_penalty)
+            for obs in self._observers:
+                obs.emit(self.timing.now, "squash", pc, cause="branch",
+                         penalty=self._br_penalty)
         elif taken:
             self.timing.taken_branch()
         return uop.target if taken else None
@@ -1161,8 +1147,9 @@ class Chex86Machine:
         macro_index = uop.macro_index
         instr_op = instrs[macro_index].op \
             if 0 <= macro_index < len(instrs) else None
-        if instr_op is Op.RET and self._prov is not None:
-            self._prov.on_ret()
+        if instr_op is Op.RET:
+            for obs in self._observers:
+                obs.emit(self.timing.now, "ret", pc)
         correct = self.predictors.resolve_indirect(
             pc, actual, is_return=instr_op is Op.RET)
         if not correct:
@@ -1170,9 +1157,9 @@ class Chex86Machine:
             if self._tracks:
                 self.tracker.squash(seq)
                 self.store_buffer.squash_after(seq)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "squash", pc,
-                                  cause="branch", penalty=self._br_penalty)
+            for obs in self._observers:
+                obs.emit(self.timing.now, "squash", pc, cause="branch",
+                         penalty=self._br_penalty)
         else:
             self.timing.taken_branch()
         return actual
@@ -1195,11 +1182,9 @@ class Chex86Machine:
             self.timing.schedule(uop.reg_reads(), None,
                                  self._capcheck_latency, FuType.CMU,
                                  False, False, self._capcheck_latency)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "capcheck", pc,
-                                  pid=0, address=address, ok=True)
-            if self._prov is not None:
-                self._prov.on_check(pc)
+            for obs in self._observers:
+                obs.emit(self.timing.now, "capcheck", pc,
+                         pid=0, address=address, ok=True)
             return
         latency = self._capcheck_latency
         if not self.capcache.access(pid):
@@ -1212,12 +1197,9 @@ class Chex86Machine:
                              False, False, self._capcheck_latency)
         violation = self.captable.check(pid, address, 8,
                                         write=uop.check_write)
-        if self._tracer is not None:
-            self._tracer.emit(self.timing.now, "capcheck", pc,
-                              pid=pid, address=address,
-                              ok=violation is None)
-        if self._prov is not None:
-            self._prov.on_check(pc)
+        for obs in self._observers:
+            obs.emit(self.timing.now, "capcheck", pc,
+                     pid=pid, address=address, ok=violation is None)
         if violation is not None:
             self._flag(violation, pc)
         elif pid > 0:
@@ -1250,10 +1232,10 @@ class Chex86Machine:
         pid, violation = self.captable.begin_generation(size)
         self._pending_gens.append(pid)
         self.timing.schedule(uop.srcs, None, 3, FuType.CMU)
-        # Lifecycle record lands at the entry interception (before any
-        # flag) so even a heap-spray violation sees its allocation context.
-        if self._prov is not None:
-            self._prov.on_capgen(pid, pc, self.timing.now, size)
+        # Emitted at the entry interception (before any flag) so even a
+        # heap-spray violation sees its allocation context.
+        for obs in self._observers:
+            obs.emit(self.timing.now, "capgen_begin", pc, pid=pid, size=size)
         if violation is not None:
             self._flag(violation, pc)
 
@@ -1264,11 +1246,10 @@ class Chex86Machine:
         base = self.regs[uop.srcs[0]]
         self.captable.end_generation(pid, base)
         self.timing.schedule(uop.srcs, None, 3, FuType.CMU)
-        if self._tracer is not None:
+        for obs in self._observers:
             capability = self.captable.get(pid)
-            self._tracer.emit(
-                self.timing.now, "capgen", pc, pid=pid, base=base,
-                size=capability.bounds if capability is not None else 0)
+            obs.emit(self.timing.now, "capgen", pc, pid=pid, base=base,
+                     size=capability.bounds if capability is not None else 0)
         # The return register carries the PID even when the allocation
         # failed: the capability exists but was never validated, so any
         # dereference of the NULL return is flagged.
@@ -1307,10 +1288,8 @@ class Chex86Machine:
         self.captable.end_free(pid)
         self.capcache.invalidate(pid)
         self.system.broadcast_cap_invalidate(pid, self.core_id)
-        if self._tracer is not None:
-            self._tracer.emit(self.timing.now, "capfree", pc, pid=pid)
-        if self._prov is not None:
-            self._prov.on_capfree(pid, pc, self.timing.now)
+        for obs in self._observers:
+            obs.emit(self.timing.now, "capfree", pc, pid=pid)
 
     # -- host escapes -------------------------------------------------------------------------
 
@@ -1345,14 +1324,13 @@ class Chex86Machine:
         violation = Violation(
             kind=violation.kind, pid=violation.pid, address=violation.address,
             size=violation.size, instr_address=pc, detail=violation.detail,
-            provenance=(self._prov.chain(violation, pc)
-                        if self._prov is not None else None),
+            provenance=(self.provenance.chain(violation, pc)
+                        if self.provenance is not None else None),
         )
-        if self._tracer is not None:
-            self._tracer.emit(self.timing.now, "violation", pc,
-                              violation=violation.kind.value,
-                              pid=violation.pid,
-                              address=violation.address)
+        for obs in self._observers:
+            obs.emit(self.timing.now, "violation", pc,
+                     violation=violation.kind.value, pid=violation.pid,
+                     address=violation.address)
         if self.halt_on_violation:
             raise CapabilityException(violation)
         self.violations.record(violation)

@@ -210,17 +210,14 @@ def run_benchmark(workload: Workload, defense: Defense,
     if workload.threads > 1:
         runner = MulticoreMachine(workload, variant=defense, config=config,
                                   halt_on_violation=False)
+        arm_cores(runner.cores, f"{workload.name}/{defense_label(defense)}")
         result = runner.run(max_instructions_per_core=max_instructions)
         return _collect(workload, defense_label(defense), runner.cores,
                         runner.system, result, config)
     program = assemble(workload.source, name=workload.name)
     machine = Chex86Machine(program, variant=defense, config=config,
                             halt_on_violation=False)
-    # No-ops unless a traced / provenance-armed sweep is active.
-    spans.attach_machine_tracer(
-        machine, f"{workload.name}/{defense_label(defense)}")
-    provenance.attach_machine_recorder(
-        machine, f"{workload.name}/{defense_label(defense)}")
+    arm_cores([machine], f"{workload.name}/{defense_label(defense)}")
     result = machine.run(max_instructions=max_instructions)
     return _collect(workload, defense_label(defense), [machine],
                     machine.system, result, config)
@@ -238,6 +235,7 @@ def _run_asan(workload: Workload, config: CoreConfig,
                                   config=config, halt_on_violation=False,
                                   host_hooks=runtime.host_hooks(),
                                   program=sanitized, system=system)
+        arm_cores(runner.cores, f"{workload.name}/asan")
         result = runner.run(max_instructions_per_core=max_instructions)
         return _collect(workload, "asan", runner.cores, runner.system,
                         result, config)
@@ -246,10 +244,18 @@ def _run_asan(workload: Workload, config: CoreConfig,
                             config=config, system=system,
                             host_hooks=runtime.host_hooks(),
                             halt_on_violation=False)
-    spans.attach_machine_tracer(machine, f"{workload.name}/asan")
-    provenance.attach_machine_recorder(machine, f"{workload.name}/asan")
+    arm_cores([machine], f"{workload.name}/asan")
     result = machine.run(max_instructions=max_instructions)
     return _collect(workload, "asan", [machine], system, result, config)
+
+
+def arm_cores(cores: List[Chex86Machine], label: str) -> None:
+    """Arm every core for a traced / provenance sweep (no-ops unless one
+    is active), labelling multicore ones ``<label> core<i>``."""
+    for index, core in enumerate(cores):
+        name = label if len(cores) == 1 else f"{label} core{index}"
+        spans.attach_machine_tracer(core, name)
+        provenance.attach_machine_recorder(core, name)
 
 
 def _collect(workload: Workload, label: str, cores: List[Chex86Machine],

@@ -72,7 +72,7 @@ from ..telemetry import provenance as prov_mod
 from ..telemetry import spans as spans_mod
 from ..telemetry.registry import METRICS_SCHEMA, MetricsRegistry
 from ..telemetry.spans import SPILL_FILENAME, SpanTracer, TraceOptions
-from .common import BenchmarkRun, IntervalRun, run_benchmark
+from .common import BenchmarkRun, IntervalRun, arm_cores, run_benchmark
 from .faults import FaultPlan
 
 #: Bumped whenever the cache record layout (not the simulated behaviour)
@@ -275,10 +275,7 @@ def compute_cell(spec: CellSpec):
         variant=_VARIANT_BY_LABEL.get(spec.defense,
                                       Variant.UCODE_PREDICTION),
         config=spec.config, halt_on_violation=False)
-    spans_mod.attach_machine_tracer(
-        machine, f"{spec.workload}/{spec.defense} patterns")
-    prov_mod.attach_machine_recorder(
-        machine, f"{spec.workload}/{spec.defense} patterns")
+    arm_cores([machine], f"{spec.workload}/{spec.defense} patterns")
     machine.trace_reloads = True
     machine.run(max_instructions=spec.max_instructions)
     return profile_patterns(machine.reload_trace, spec.min_events)
@@ -300,12 +297,8 @@ def _replay_interval(spec: CellSpec):
             f"checkpoint {spec.checkpoint} content does not match the "
             f"cell's recorded digest; re-run the checkpoint pass")
     machine = Chex86Machine.restore(data)
-    spans_mod.attach_machine_tracer(
-        machine,
-        f"{spec.workload}/{spec.defense} interval {spec.interval_index}")
-    prov_mod.attach_machine_recorder(
-        machine,
-        f"{spec.workload}/{spec.defense} interval {spec.interval_index}")
+    arm_cores([machine], f"{spec.workload}/{spec.defense} "
+                         f"interval {spec.interval_index}")
     base_metrics = machine.metrics_snapshot()
     base_phase = machine.phase_counters()
     base_instructions = machine.instructions

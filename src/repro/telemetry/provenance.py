@@ -24,12 +24,12 @@ use-after-free?".  This module closes that gap with an opt-in
   ``(context, pc)`` and exported as flamegraph-compatible collapsed
   stacks and annotated-disassembly heatmaps.
 
-Everything here is opt-in: ``Chex86Machine.enable_provenance()`` arms a
-machine, and the module-level :func:`arm`/:func:`attach_machine_recorder`
-pair mirrors ``telemetry.spans`` so eval-engine workers can arm every
-cell machine without threading a recorder through every call site.
-With the recorder disarmed (the default) the hot path pays a single
-``is None`` test per event site and all results stay byte-identical.
+Everything here is opt-in: ``Chex86Machine.enable_provenance()`` attaches
+a recorder as a machine observer (:meth:`ProvenanceRecorder.emit`), and
+the module-level :func:`arm`/:func:`attach_machine_recorder` pair mirrors
+``telemetry.spans`` so eval-engine workers can arm every cell machine
+without threading a recorder through every call site.  With no observer
+attached (the default) all results stay byte-identical.
 """
 
 from __future__ import annotations
@@ -92,6 +92,28 @@ class ProvenanceRecorder:
         # (context, pc, outcome) -> count for reload-predictor outcomes.
         self.reload_outcomes: Dict[Tuple[int, int, str], int] = {}
         self._symbols: Optional[Tuple[List[int], List[str]]] = None
+
+    # -- machine observer ----------------------------------------------------
+
+    def emit(self, ts: int, kind: str, pc: int = 0, **fields) -> None:
+        """Route one machine event (``Chex86Machine.attach``) to its
+        ``on_*`` handler; kinds the recorder does not use are ignored."""
+        if kind == "capcheck":
+            self.on_check(pc)
+        elif kind == "inject" or kind == "uop_inject":
+            self.on_inject(pc, fields["uops"])
+        elif kind == "predictor":
+            self.on_reload(pc, fields["outcome"])
+        elif kind == "alias_walk":
+            self.on_walk(pc)
+        elif kind == "call":
+            self.on_call(pc)
+        elif kind == "ret":
+            self.on_ret()
+        elif kind == "capgen_begin":
+            self.on_capgen(fields["pid"], pc, ts, fields["size"])
+        elif kind == "capfree":
+            self.on_capfree(fields["pid"], pc, ts)
 
     # -- shadow call stack ---------------------------------------------------
 

@@ -272,7 +272,7 @@ def install(tracer: SpanTracer, machine_capacity: int = 0) -> None:
     """Make ``tracer`` the process-wide current span tracer.
 
     ``machine_capacity > 0`` additionally arms machine-event capture:
-    every subsequently simulated machine (single-core cells) gets a
+    every subsequently simulated machine (each core of a cell) gets a
     bounded :class:`EventTracer` ring that ships with the tracer's
     :meth:`~SpanTracer.shipment`.
     """
@@ -311,7 +311,7 @@ def attach_machine_tracer(machine, label: str) -> None:
 
     No-op (one global test) when tracing is off.  Attaching an event
     tracer makes the machine take the exact per-instruction path
-    (superblock replay requires no tracer), which is slower but — by
+    (superblock replay requires no observer), which is slower but — by
     the differential suite — simulates identically.
     """
     if _CURRENT is None or not _MACHINE_CAPACITY:
@@ -319,7 +319,7 @@ def attach_machine_tracer(machine, label: str) -> None:
     from .tracer import EventTracer
 
     ring = EventTracer(capacity=_MACHINE_CAPACITY)
-    machine.attach_tracer(ring)
+    machine.attach(ring)
     _MACHINE_RINGS.append({
         "label": label,
         "machine": machine,

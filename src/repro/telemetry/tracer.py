@@ -23,10 +23,10 @@ kind                    payload fields
 ======================  ====================================================
 
 Every record also carries ``ts`` (the core's current commit cycle) and
-``pc`` (the macro instruction's address).  The buffer is a preallocated
-ring: once ``capacity`` events have been emitted the oldest are
-overwritten and counted in :attr:`EventTracer.dropped`, so tracing a
-long run costs bounded memory.
+``pc`` (the macro instruction's address); other kinds a machine emits
+are not recorded.  The buffer is a preallocated ring: once ``capacity``
+events are emitted the oldest are overwritten and counted in
+:attr:`EventTracer.dropped`, so tracing a long run costs bounded memory.
 
 Exports:
 
@@ -44,7 +44,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
-#: Every kind the machine emits (the ``repro trace --kind`` choices).
+#: Every kind the tracer records (the ``repro trace --kind`` choices).
 EVENT_KINDS = (
     "uop_inject",
     "capcheck",
@@ -98,6 +98,8 @@ class EventTracer:
     # -- recording (the only method on a hot path) ---------------------------
 
     def emit(self, ts: int, kind: str, pc: int = 0, **fields) -> None:
+        if kind not in EVENT_KINDS:
+            return
         self._ring[self._emitted % self.capacity] = \
             TraceEvent(ts, kind, pc, fields)
         self._emitted += 1

@@ -25,7 +25,7 @@ import pytest
 from repro.core import Chex86Machine, Variant
 from repro.core.snapshot import SNAPSHOT_SCHEMA, from_bytes
 from repro.core.violations import ViolationKind
-from repro.eval.engine import CellSpec, EvalEngine
+from repro.eval.engine import CellSpec, EvalEngine, compute_cell
 from repro.fuzz import (
     Corpus,
     architectural_state,
@@ -399,6 +399,16 @@ class TestEngineIntegration:
         for line in collapsed.strip().splitlines():
             stack, count = line.rsplit(" ", 1)
             assert stack and int(count) > 0
+
+    @pytest.mark.parametrize("defense", ("ucode-prediction", "asan"))
+    def test_armed_multicore_cell_ships_one_sidecar_per_core(self, defense):
+        prov_mod.arm()
+        compute_cell(CellSpec(workload="blackscholes", defense=defense,
+                              max_instructions=2_000))
+        cells = prov_mod.shipment()["cells"]
+        assert [cell["label"] for cell in cells] \
+            == [f"blackscholes/{defense} core{index}" for index in range(4)]
+        assert all(cell["export"] is not None for cell in cells)
 
     def test_write_provenance_requires_flag(self):
         engine = EvalEngine(jobs=1, use_cache=False)

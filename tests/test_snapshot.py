@@ -35,7 +35,9 @@ from repro.core.snapshot import (
     to_bytes,
 )
 from repro.isa import assemble
+from repro.telemetry import EventTracer
 from conftest import assemble_main
+from test_observers import CountingObserver
 from test_differential import (
     BUDGET,
     N_PROGRAMS,
@@ -325,15 +327,15 @@ class TestSchemaAndWireFormat:
 
 
 class TestSnapshotRestrictions:
-    def test_tracer_attached_is_rejected(self):
-        from repro.telemetry import EventTracer
-
+    @pytest.mark.parametrize("make_observer", (EventTracer, CountingObserver),
+                             ids=("tracer", "counting"))
+    def test_observer_attached_is_rejected(self, make_observer):
         program = assemble(generate_program(0), name="fuzz0")
         machine = Chex86Machine(program, halt_on_violation=False)
-        machine.attach_tracer(EventTracer())
-        with pytest.raises(SnapshotError, match="tracer"):
+        observer = machine.attach(make_observer())
+        with pytest.raises(SnapshotError, match="observer"):
             machine.snapshot()
-        machine.detach_tracer()
+        machine.detach(observer)
         machine.snapshot()  # detached again: fine
 
     def test_custom_host_hooks_rejected(self):

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.eval.engine import CellSpec, EvalEngine
+from repro.eval.engine import CellSpec, EvalEngine, compute_cell
 from repro.telemetry import collate as _shadowed  # noqa: F401  (function)
 from repro.telemetry.collate import (
     MACHINE_TID_BASE,
@@ -157,7 +157,7 @@ class TestModuleHelpers:
 
     def test_attach_machine_tracer_noop_unarmed(self):
         class Machine:
-            def attach_tracer(self, ring):
+            def attach(self, observer):
                 raise AssertionError("must not attach when unarmed")
 
         spans_mod.attach_machine_tracer(Machine(), "x")  # off entirely
@@ -291,6 +291,17 @@ class TestEngineIntegration:
         lanes = {e["tid"] for e in events
                  if e["name"] == "engine.cell"}
         assert len(lanes) == 2
+
+    def test_traced_multicore_cell_rings_every_core(self):
+        spans_mod.install(SpanTracer(), machine_capacity=256)
+        compute_cell(CellSpec(workload="blackscholes",
+                              defense="ucode-prediction",
+                              max_instructions=2_000))
+        rings = spans_mod.collect_machine_rings()
+        assert [ring["label"] for ring in rings] \
+            == [f"blackscholes/ucode-prediction core{index}"
+                for index in range(4)]
+        assert all(ring["emitted"] > 0 for ring in rings)
 
     def test_traced_inline_sweep(self, tmp_path):
         engine = EvalEngine(jobs=1, cache_dir=str(tmp_path),
