@@ -164,20 +164,29 @@ def _profile_out(args, stem: str) -> str:
 
 
 class GcTimer:
-    """``gc.callbacks`` hook: collections per generation and their host
-    time, which cProfile charges to whatever allocated last."""
+    """``gc.callbacks`` hook: per generation, the collections, their host
+    time (which cProfile charges to whatever allocated last) and the
+    objects they reclaimed."""
 
     def __init__(self) -> None:
         self.collections = [0, 0, 0]
-        self.seconds = 0.0
+        self.gen_seconds = [0.0, 0.0, 0.0]
+        self.collected = [0, 0, 0]
         self._started = 0.0
+
+    @property
+    def seconds(self) -> float:
+        return sum(self.gen_seconds)
 
     def __call__(self, phase: str, info) -> None:
         if phase == "start":
             self._started = time.perf_counter()
         else:
-            self.seconds += time.perf_counter() - self._started
-            self.collections[info["generation"]] += 1
+            generation = info["generation"]
+            self.gen_seconds[generation] += \
+                time.perf_counter() - self._started
+            self.collections[generation] += 1
+            self.collected[generation] += info["collected"]
 
 
 def _start_profiler(enabled: bool):

@@ -56,7 +56,9 @@ class DecodedBlock:
 
     ``entries`` holds one ``(handler, uop, base_reg, check_mode,
     check_template)`` tuple per micro-op in issue order (MCU-injected
-    interception uops first, then the native translation).  ``base_reg``
+    interception uops first, then the native translation).  ``handler``
+    is a plain function from ``Chex86Machine._dispatch``, called
+    ``handler(machine, uop, pc, seq)``, so a plan holds no machine.  ``base_reg``
     is the extended index of the addressing base register (-1 when the
     access has none or no check decision is needed); ``check_mode`` is a
     ``repro.core.mcu.CHECK_*`` constant.
@@ -145,7 +147,7 @@ class Superblock:
     #: (simple, complex, msrom) decode-path counts across members.
     decode_counts: Tuple[int, int, int]
     #: Specialized replay function generated by ``sbcompile.compile_replay``
-    #: (tier 1).  None while the chain is cold, and for good when the trace
+    #: (tier 1), called ``replay(machine, superblock)``.  None while the chain is cold, and for good when the trace
     #: compiler declined; the machine then replays it through the
     #: interpreted executor ``Chex86Machine._step_superblock`` (tier 0),
     #: which is exact and meters every ``frontend.*`` counter the same way.

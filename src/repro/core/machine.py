@@ -21,6 +21,7 @@ recovery hardware would be.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -140,7 +141,6 @@ class Chex86Machine:
             from ..pipeline.system import System
             system = System(config)
         self.system = system
-        self.core_id = self.system.register_core(self)
         self.memory = self.system.memory
         self.allocator = self.system.allocator
         self.captable = self.system.captable
@@ -176,6 +176,7 @@ class Chex86Machine:
         self.store_buffer = StoreBufferPids(config.sq_entries)
         self.tlb = Tlb(config.dtlb_entries, config.dtlb_ways,
                        hosting=self.system.alias_hosting_pages)
+        self.core_id = self.system.register_core(self)
 
         # Timing.
         self.timing = TimingModel(config, self.system.l2,
@@ -201,8 +202,10 @@ class Chex86Machine:
         self._captable_latency = config.captable_latency
         self._walk_latency = config.alias_walk_level_latency * WALK_LEVELS
 
-        # Decoded-block fast path: per-pc precompiled front-end plans and
-        # the UopKind-indexed execute dispatch table (built once per core).
+        # Decoded-block fast path: per-pc precompiled front-end plans
+        # whose entries carry the plain ``_exec_*`` functions of the
+        # class-level ``_dispatch`` table (called with the machine, so a
+        # plan holds no reference back to it).
         # block_cache_enabled: True (default) caches decoded blocks and
         # forms and replays superblocks; False forces the slow path —
         # every dynamic instruction recompiles its block.  The two must
@@ -222,27 +225,6 @@ class Chex86Machine:
         self._superblock_instructions = 0
         self._superblock_bailouts = 0
         self._fallback_instructions = 0
-        self._dispatch: Dict[UopKind, Callable] = {
-            UopKind.LD: self._exec_load,
-            UopKind.ST: self._exec_store,
-            UopKind.ALU: self._exec_alu,
-            UopKind.LIMM: self._exec_limm,
-            UopKind.MOV: self._exec_mov,
-            UopKind.LEA: self._exec_lea,
-            UopKind.BR: self._exec_br,
-            UopKind.JMP: self._exec_jmp,
-            UopKind.JMP_IND: self._exec_jmp_ind,
-            UopKind.CAPCHECK: self._exec_capcheck,
-            UopKind.CAPGEN_BEGIN: self._exec_capgen_begin,
-            UopKind.CAPGEN_END: self._exec_capgen_end,
-            UopKind.CAPFREE_BEGIN: self._exec_capfree_begin,
-            UopKind.CAPFREE_END: self._exec_capfree_end,
-            UopKind.HOSTOP: self._exec_hostop,
-            UopKind.NOP: self._exec_nop,
-            UopKind.ZERO_IDIOM: self._exec_zero_idiom,
-            UopKind.HALT: self._exec_halt,
-        }
-
         # Capability event state (pending two-step generations/frees).
         self._pending_gens: List[int] = []
         self._pending_frees: List[int] = []
@@ -358,7 +340,11 @@ class Chex86Machine:
         rates, accuracy, squash fraction, IPC) are ratio metrics, so
         merged/differenced snapshots recompute them correctly.
         """
-        registry.register_object("machine", self, {
+        # The machine owns this registry, so its own counters and the
+        # violation log (replaced by snapshot restore) are read through a
+        # weak reference: the registry must not hold the machine.
+        me = weakref.ref(self)
+        registry.register_object("machine", me, {
             "instructions": "instructions",
             "uops": "total_uops",
             "native_uops": "native_uops",
@@ -367,7 +353,7 @@ class Chex86Machine:
                        "timing.cycles")
         registry.ratio("machine.uop_expansion", "machine.uops",
                        "machine.native_uops")
-        registry.register_object("frontend", self, {
+        registry.register_object("frontend", me, {
             "blocks_compiled": "_blocks_compiled",
             "superblocks_compiled": "_superblocks_compiled",
             "superblock_instructions": "_superblock_instructions",
@@ -385,23 +371,23 @@ class Chex86Machine:
         self.timing.register_metrics(registry, "timing")
         self.allocator.stats.register_metrics(registry, "heap")
         registry.gauge("shadow.bytes",
-                       lambda machine=self: machine.system.shadow_bytes,
+                       lambda system=self.system: system.shadow_bytes,
                        merge=MERGE_LAST)
         registry.gauge("shadow.capabilities",
-                       lambda machine=self: len(machine.captable),
+                       lambda captable=self.captable: len(captable),
                        merge=MERGE_LAST)
         registry.gauge("shadow.live_aliases",
-                       lambda machine=self: machine.alias_table.live_entries,
+                       lambda table=self.alias_table: table.live_entries,
                        merge=MERGE_LAST)
         registry.gauge("violations.count",
-                       lambda machine=self: machine.violations.count())
+                       lambda me=me: me().violations.count())
         # Per-kind detection profile (dotted violations.<kind> family)
         # with the CWE id attached as metadata, so sweep diffs can name
         # which weakness classes a config change gained or lost.
         for kind in ViolationKind:
             registry.gauge(
                 f"violations.{kind.value}",
-                lambda machine=self, kind=kind: machine.violations.count(kind),
+                lambda me=me, kind=kind: me().violations.count(kind),
                 meta={"cwe": kind.cwe})
 
     def metrics_snapshot(self) -> Dict[str, float]:
@@ -601,7 +587,8 @@ class Chex86Machine:
                                 if sb.heat == SUPERBLOCK_HOT_ENTRIES:
                                     replay = sb.replay = compile_replay(
                                         self, sb)
-                            executed += (replay(self) if replay is not None
+                            executed += (replay(self, sb)
+                                         if replay is not None
                                          else self._step_superblock(sb))
                             continue
                         self._superblock_bailouts += 1
@@ -808,7 +795,7 @@ class Chex86Machine:
 
                 seq += 1
                 uops += 1
-                target = handler(uop, pc, seq)
+                target = handler(self, uop, pc, seq)
                 if target is not None:
                     next_rip = target
                 if self.halted:
@@ -1334,6 +1321,32 @@ class Chex86Machine:
         if self.halt_on_violation:
             raise CapabilityException(violation)
         self.violations.record(violation)
+
+    #: UopKind -> execute function, called ``handler(machine, uop, pc,
+    #: seq)``.  One table per class, not per machine: decoded-block plans
+    #: and generated replay code hold these plain functions, never methods
+    #: bound to a machine, so a machine's state does not refer back to it
+    #: (docs/api.md, "Machine lifetime").
+    _dispatch: Dict[UopKind, Callable] = {
+        UopKind.LD: _exec_load,
+        UopKind.ST: _exec_store,
+        UopKind.ALU: _exec_alu,
+        UopKind.LIMM: _exec_limm,
+        UopKind.MOV: _exec_mov,
+        UopKind.LEA: _exec_lea,
+        UopKind.BR: _exec_br,
+        UopKind.JMP: _exec_jmp,
+        UopKind.JMP_IND: _exec_jmp_ind,
+        UopKind.CAPCHECK: _exec_capcheck,
+        UopKind.CAPGEN_BEGIN: _exec_capgen_begin,
+        UopKind.CAPGEN_END: _exec_capgen_end,
+        UopKind.CAPFREE_BEGIN: _exec_capfree_begin,
+        UopKind.CAPFREE_END: _exec_capfree_end,
+        UopKind.HOSTOP: _exec_hostop,
+        UopKind.NOP: _exec_nop,
+        UopKind.ZERO_IDIOM: _exec_zero_idiom,
+        UopKind.HALT: _exec_halt,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -506,11 +506,14 @@ def _emit_zero_idiom(e: _Emitter, machine, uop: Uop) -> None:
 def _emit_tlb(e: _Emitter, machine) -> None:
     """Inline ``m.tlb.access(address)`` (dtlb hit path; misses call the
     refill continuation).  The dtlb key is the page — ``line_shift`` is 0
-    and there is no victim array, so a set miss is a genuine miss."""
+    and there is no victim array, so a set miss is a genuine miss; a set
+    not yet allocated probes as the empty tuple.  One ``dict.get`` line
+    rather than a ``try`` block: generated source is compiled per hot
+    chain, and ``compile()`` time grows with its line count."""
     e.need.update(("tlb_sets", "tlbc_stats", "tlb_stats", "tlb_refill"))
     num_sets = machine.tlb._cache.num_sets
     e.line(f"_pn = address >> {PAGE_SHIFT}")
-    e.line(f"_ts = tlb_sets[_pn % {num_sets}]")
+    e.line(f"_ts = tlb_sets.get(_pn % {num_sets}, ())")
     e.line("if _pn in _ts:")
     e.line("_ts[_pn] = _ts.pop(_pn)", 1)
     e.line("tlbc_stats.hits += 1", 1)
@@ -521,11 +524,12 @@ def _emit_tlb(e: _Emitter, machine) -> None:
 
 def _emit_l1d(e: _Emitter, machine, out: Optional[str]) -> None:
     """Inline the L1d hit probe of ``timing.mem_access``; the hit latency
-    lands in local ``out`` (None discards it — the store shape)."""
+    lands in local ``out`` (None discards it — the store shape).  An
+    absent set probes as the empty tuple, as in :func:`_emit_tlb`."""
     e.need.update(("l1d_sets", "l1d_stats", "mem_miss"))
     l1 = machine.timing.l1d
     e.line(f"_ln = address >> {l1.line_shift}")
-    e.line(f"_ds = l1d_sets[_ln % {l1.num_sets}]")
+    e.line(f"_ds = l1d_sets.get(_ln % {l1.num_sets}, ())")
     e.line("if _ln in _ds:")
     e.line("_ds[_ln] = _ds.pop(_ln)", 1)
     e.line("l1d_stats.hits += 1", 1)
@@ -730,7 +734,7 @@ def _emit_generic(e: _Emitter, entry, pc: int) -> None:
     e.flush()  # handlers consume seq and may raise
     hname = e.const(handler, "H")
     uname = e.const(uop, "U")
-    e.line(f"{hname}({uname}, {pc}, seq)")
+    e.line(f"{hname}(m, {uname}, {pc}, seq)")
 
 
 # -- driver -----------------------------------------------------------------
@@ -759,8 +763,9 @@ def compile_replay(machine, sb) -> Optional[object]:
     """Compile ``sb`` into a specialized replay function, or ``None``.
 
     ``run_quantum`` calls this at most once per chain, on its
-    ``SUPERBLOCK_HOT_ENTRIES``-th full entry.  The returned callable has
-    the same contract as the tier-0 executor
+    ``SUPERBLOCK_HOT_ENTRIES``-th full entry.  The returned function,
+    called ``replay(machine, sb)``, has the same contract as the tier-0
+    executor
     ``Chex86Machine._step_superblock``: called under ``run_quantum``'s
     entry guard, it replays the whole superblock, returns the number of
     members retired, and unwinds a trapping ``CapabilityException`` with
@@ -851,7 +856,6 @@ def _compile_replay(machine, sb) -> Optional[object]:
         return None
 
     ns = e.ns
-    ns["SB"] = sb
     ns["PCS"] = tuple(member[0] for member in members)
     ns["CapEx"] = CapabilityException
     if e.need & {"schedule", "t_stats", "fetch_line",
@@ -860,7 +864,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
         e.need.add("timing")
     prologue = [code for name, code in _PROLOGUE if name in e.need]
     src = "\n".join(
-        ["def _replay(m):"]
+        ["def _replay(m, SB):"]
         + ["    " + code for code in prologue]
         + [
             "    seq = m._seq",
@@ -890,6 +894,9 @@ def _compile_replay(machine, sb) -> Optional[object]:
         code = compile(src, f"<superblock {sb.entry:#x}>", "exec")
         _CODE_CACHE[src] = code
     exec(code, ns)
-    replay = ns["_replay"]
+    # Popped, so the namespace (the function's globals) does not refer
+    # back to the function; the superblock arrives as an argument.
+    # Neither holds the machine, so ``sb.replay`` closes no cycle.
+    replay = ns.pop("_replay")
     replay.source = src  # introspection/debugging hook
     return replay

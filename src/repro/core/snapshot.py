@@ -27,12 +27,16 @@ Design rules (why this is not a naive ``pickle(machine)``):
 * **Shared-object aliasing.**  System-owned state (memory, allocator,
   capability/alias tables, L2, the alias-hosting page set that the TLB
   aliases) is mutated in place for the same reason.
+* **Caches capture what they hold.**  A cache allocates a set on its
+  first install (``repro.memory.cache``), so a snapshot records each
+  cache's non-empty sets as ``{set index: lines}`` plus ``num_sets``,
+  which restore checks against the fresh machine's geometry.
 * **Decoded blocks and superblocks are dropped.**  ``DecodedBlock`` and
-  ``Superblock`` entries carry bound execute handlers; the restored
-  machine recompiles both lazily.  The compile *counts* are restored,
-  and re-decoding records no decode stats (the per-dynamic-instance
-  accounting lives in ``step()``/``_retire_members``), so nothing is
-  double-charged.
+  ``Superblock`` entries carry execute functions and generated replay
+  code, derived data the restored machine recompiles lazily.  The
+  compile *counts* are restored, and re-decoding records no decode stats
+  (the per-dynamic-instance accounting lives in
+  ``step()``/``_retire_members``), so nothing is double-charged.
 
 Not captured (a :class:`SnapshotError` is raised where silence would be a
 lie): multicore systems, attached event tracers, the checker
@@ -69,7 +73,9 @@ from .violations import ViolationLog
 #: v4: flat TAGE tables (per-level tag/counter/useful lists), the issue
 #: scoreboard as a cycle-keyed dict and the commit scoreboard as
 #: ``last_commit`` + ``commit_used`` (no slot rings).
-SNAPSHOT_SCHEMA = 4
+#: v5: caches hold only their allocated sets — each cache's ``sets`` is a
+#: ``{set index: lines}`` dict of its non-empty sets plus ``num_sets``.
+SNAPSHOT_SCHEMA = 5
 
 
 class SnapshotError(Exception):
@@ -148,8 +154,12 @@ def _check_snapshotable(machine) -> None:
 
 
 def _capture_cache(cache) -> Dict[str, object]:
+    # Only the allocated, non-empty sets; ``num_sets`` guards restore
+    # against a machine configured with a different geometry.
     state = {
-        "sets": [list(s.items()) for s in cache._sets],
+        "num_sets": cache.num_sets,
+        "sets": {index: list(set_.items())
+                 for index, set_ in cache._sets.items() if set_},
         "victim": (list(cache._victim.items())
                    if cache._victim is not None else None),
         "stats": _fields(cache.stats, _CACHE_FIELDS),
@@ -158,12 +168,13 @@ def _capture_cache(cache) -> Dict[str, object]:
 
 
 def _restore_cache(cache, state: Dict[str, object]) -> None:
-    saved_sets = state["sets"]
-    if len(saved_sets) != len(cache._sets):
+    if state["num_sets"] != cache.num_sets:
         raise SnapshotError(
-            f"cache {cache.name}: snapshot has {len(saved_sets)} sets, "
-            f"machine has {len(cache._sets)} (config mismatch)")
-    cache._sets[:] = [dict(items) for items in saved_sets]
+            f"cache {cache.name}: snapshot has {state['num_sets']} sets, "
+            f"machine has {cache.num_sets} (config mismatch)")
+    cache._sets.clear()
+    cache._sets.update((index, dict(items))
+                       for index, items in state["sets"].items())
     if cache._victim is not None and state["victim"] is not None:
         cache._victim = dict(state["victim"])
     _assign(cache.stats, state["stats"])
@@ -428,7 +439,7 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
     machine._superblock_bailouts = state["superblock_bailouts"]
     machine._fallback_instructions = state["fallback_instructions"]
     # Recompiled lazily against the new program: DecodedBlock entries and
-    # superblock member tables carry bound execute handlers.
+    # superblock member tables carry execute functions, not data.
     machine._blocks.clear()
     machine._superblocks.clear()
 

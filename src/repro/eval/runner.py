@@ -193,17 +193,16 @@ def reproduce(out_dir: str = "results", scale: int = 1,
     for name, specs in _metric_cell_specs(scale).items():
         engine.write_metrics(metrics_dir / f"{name}.json", specs, name)
     echo(f"wrote per-cell metrics sidecars to {metrics_dir}/")
+    # Only host-independent fields: the same run on another host (or
+    # with another --jobs) writes the same file.  Wall time, MIPS and
+    # the worker count are in the echo log above and below.
     summary = {
         "scale": scale,
-        "artifacts": {r.name: {"seconds": r.seconds, **r.headline}
-                      for r in records},
+        "artifacts": {r.name: dict(r.headline) for r in records},
         "engine": {
-            "jobs": engine.jobs,
             "cells_simulated": engine.stats.computed,
             "cells_cached": engine.stats.cached,
-            "wall_seconds": round(engine.stats.wall_seconds, 1),
             "simulated_instructions": engine.stats.simulated_instructions,
-            "simulated_mips": round(engine.stats.simulated_mips, 4),
             "cells_retried": engine.stats.retried,
             "cells_crashed": engine.stats.crashed,
             "cells_timed_out": engine.stats.timed_out,

@@ -92,10 +92,13 @@ class OracleReport:
 def install_protect_hook(machine: Chex86Machine) -> None:
     """The permission profile's host escape: drop WRITE from the
     capability owning the address in rdi (no-op when untracked, e.g. on
-    the insecure baseline)."""
+    the insecure baseline).  The hook closes over the capability table,
+    not the machine: the machine's host table holds it, so a closure over
+    the machine would be a reference cycle."""
+    captable = machine.captable
 
     def protect(regs: List[int]) -> None:
-        capability = machine.captable.find_by_address(regs[int(Reg.RDI)])
+        capability = captable.find_by_address(regs[int(Reg.RDI)])
         if capability is not None:
             capability.perms &= ~Perm.WRITE
 

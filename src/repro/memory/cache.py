@@ -9,12 +9,21 @@ One model serves every cache-shaped structure in CHEx86:
 
 because they all share the same behaviours under study: hit/miss rates,
 LRU churn, and invalidation traffic in multicore runs.
+
+Sets are allocated on first install, not up front: ``_sets`` maps a set
+index to that set's dict, and an absent index is an empty set.  A hit,
+probe or lookup on an absent set is a miss and allocates nothing, so a
+machine pays for the sets its program touches (a short run touches a
+handful of the BTB's and L2's 1,024), not for the configured capacity.
+A plain ``dict`` with explicit first-touch creation is used rather than
+a ``__missing__`` subclass, which would add a Python-level call to every
+subscript on the hit path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 @dataclass
@@ -86,10 +95,11 @@ class SetAssocCache:
         self.line_shift = line_shift
         self.num_sets = entries // ways
         self.stats = CacheStats()
-        # Each set: a dict keyed by line tag, least-recently-used first (a
-        # hit re-inserts its key).  Unlike an OrderedDict, a dict of ints
-        # and bools is not tracked by the cyclic GC.
-        self._sets: List[Dict] = [{} for _ in range(self.num_sets)]
+        # Set index -> that set's dict, keyed by line tag and ordered
+        # least-recently-used first (a hit re-inserts its key).  A set is
+        # created by its first install; an absent index is an empty set.
+        # Dicts of ints and bools are not tracked by the cyclic GC.
+        self._sets: Dict[int, Dict] = {}
         self._victim: Optional[Dict] = {} if victim_entries else None
         self._victim_capacity = victim_entries
 
@@ -98,34 +108,40 @@ class SetAssocCache:
     def access(self, key: int, value=True) -> bool:
         """Look up ``key``; install it on a miss.  Returns hit?"""
         line = key >> self.line_shift
-        set_ = self._sets[line % self.num_sets]
-        if line in set_:
-            set_[line] = set_.pop(line)
-            self.stats.hits += 1
-            return True
+        index = line % self.num_sets
+        try:
+            set_ = self._sets[index]
+        except KeyError:
+            pass  # an absent set is an empty one
+        else:
+            if line in set_:
+                set_[line] = set_.pop(line)
+                self.stats.hits += 1
+                return True
         if self._victim is not None and line in self._victim:
             # Victim hit: swap back into the main array, count as a hit.
             value = self._victim.pop(line)
             self.stats.hits += 1
             self.stats.victim_hits += 1
-            self._install(set_, line, value)
+            self._install(index, line, value)
             return True
         self.stats.misses += 1
-        self._install(set_, line, value)
+        self._install(index, line, value)
         return False
 
     def probe(self, key: int) -> bool:
         """Non-allocating lookup, no stats (used by invalidation filters)."""
         line = key >> self.line_shift
-        if line in self._sets[line % self.num_sets]:
+        set_ = self._sets.get(line % self.num_sets)
+        if set_ is not None and line in set_:
             return True
         return self._victim is not None and line in self._victim
 
     def lookup(self, key: int):
         """Return the stored value on a (non-allocating) hit, else None."""
         line = key >> self.line_shift
-        set_ = self._sets[line % self.num_sets]
-        if line in set_:
+        set_ = self._sets.get(line % self.num_sets)
+        if set_ is not None and line in set_:
             value = set_[line] = set_.pop(line)
             return value
         if self._victim is not None and line in self._victim:
@@ -135,8 +151,8 @@ class SetAssocCache:
     def update(self, key: int, value) -> None:
         """Overwrite the value for ``key`` if present (no allocation)."""
         line = key >> self.line_shift
-        set_ = self._sets[line % self.num_sets]
-        if line in set_:
+        set_ = self._sets.get(line % self.num_sets)
+        if set_ is not None and line in set_:
             set_[line] = value
         elif self._victim is not None and line in self._victim:
             self._victim[line] = value
@@ -144,9 +160,9 @@ class SetAssocCache:
     def invalidate(self, key: int) -> bool:
         """Drop ``key`` (coherence invalidation).  Returns whether present."""
         line = key >> self.line_shift
-        set_ = self._sets[line % self.num_sets]
+        set_ = self._sets.get(line % self.num_sets)
         present = False
-        if line in set_:
+        if set_ is not None and line in set_:
             del set_[line]
             present = True
         if self._victim is not None and line in self._victim:
@@ -158,8 +174,7 @@ class SetAssocCache:
 
     def flush(self) -> None:
         """Empty the cache (keeps statistics)."""
-        for set_ in self._sets:
-            set_.clear()
+        self._sets.clear()
         if self._victim is not None:
             self._victim.clear()
 
@@ -167,12 +182,17 @@ class SetAssocCache:
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     # -- internals -----------------------------------------------------------------
 
-    def _install(self, set_: Dict, line: int, value) -> None:
-        if len(set_) >= self.ways:
+    def _install(self, index: int, line: int, value) -> None:
+        """Insert ``line`` into set ``index`` (created on first install),
+        evicting the set's LRU line into the victim array when full."""
+        set_ = self._sets.get(index)
+        if set_ is None:
+            set_ = self._sets[index] = {}
+        elif len(set_) >= self.ways:
             victim_line = next(iter(set_))
             victim_value = set_.pop(victim_line)
             self.stats.evictions += 1

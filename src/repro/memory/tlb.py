@@ -56,7 +56,11 @@ class Tlb:
         """
         page = address >> PAGE_SHIFT
         cache = self._cache
-        set_ = cache._sets[page % cache.num_sets]
+        try:
+            set_ = cache._sets[page % cache.num_sets]
+        except KeyError:  # an absent set is an empty one
+            self.refill(address)
+            return False
         if page in set_:
             set_[page] = set_.pop(page)
             cache.stats.hits += 1
@@ -76,8 +80,7 @@ class Tlb:
         page = address >> PAGE_SHIFT
         cache = self._cache
         cache.stats.misses += 1
-        cache._install(cache._sets[page % cache.num_sets], page,
-                       page in self._hosting)
+        cache._install(page % cache.num_sets, page, page in self._hosting)
         self.stats.misses += 1
 
     def mark_alias_hosting(self, address: int) -> None:

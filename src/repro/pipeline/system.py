@@ -10,6 +10,7 @@ V-C); the message counters here feed the multithreaded overhead accounting.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List
 
@@ -43,7 +44,13 @@ class System:
         line_shift = config.line_bytes.bit_length() - 1
         self.l2 = SetAssocCache(config.l2_bytes // config.line_bytes,
                                 config.l2_ways, line_shift, name="l2")
-        self.cores: List = []  # Machine instances register themselves
+        # Machines register themselves.  Every machine holds its system,
+        # so the system must not hold the machines (each would be a
+        # reference cycle only the cyclic GC could free): it keeps a weak
+        # roster, plus each core's id and the two caches it broadcasts
+        # invalidations to.
+        self._cores: List[weakref.ref] = []
+        self._peers: List[tuple] = []
         self.coherence = CoherenceStats()
         # Program-load bookkeeping: a shared program's globals/capabilities
         # are initialized once per process, not once per core.
@@ -52,8 +59,18 @@ class System:
         self.alias_hosting_pages: set = set()
 
     def register_core(self, core) -> int:
-        self.cores.append(core)
-        return len(self.cores) - 1
+        """Add ``core`` (its capability and alias caches already built)
+        to the roster; returns its core id."""
+        core_id = len(self._cores)
+        self._cores.append(weakref.ref(core))
+        self._peers.append((core_id, core.capcache, core.alias_cache))
+        return core_id
+
+    @property
+    def cores(self) -> List:
+        """The registered machines still alive, in core-id order."""
+        return [core for core in (ref() for ref in self._cores)
+                if core is not None]
 
     # -- invalidation broadcast -----------------------------------------------
 
@@ -61,20 +78,20 @@ class System:
         """A capability was freed on ``origin_core``: invalidate everywhere.
 
         Thanks to unforgeability these are sent exactly once per free."""
-        for core in self.cores:
-            if core.core_id == origin_core:
+        for core_id, capcache, _ in self._peers:
+            if core_id == origin_core:
                 continue
             self.coherence.cap_invalidate_messages += 1
-            if core.capcache.invalidate(pid):
+            if capcache.invalidate(pid):
                 self.coherence.cap_invalidate_hits += 1
 
     def broadcast_alias_invalidate(self, address: int, origin_core: int) -> None:
         """A spilled alias was (re)written on ``origin_core``."""
-        for core in self.cores:
-            if core.core_id == origin_core:
+        for core_id, _, alias_cache in self._peers:
+            if core_id == origin_core:
                 continue
             self.coherence.alias_invalidate_messages += 1
-            if core.alias_cache.invalidate(address):
+            if alias_cache.invalidate(address):
                 self.coherence.alias_invalidate_hits += 1
 
     @property

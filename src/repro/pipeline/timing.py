@@ -288,10 +288,14 @@ class TimingModel:
         else:
             stats.loads += 1
         # L1d probe inlined (the L1d carries no victim array, so a set
-        # miss is a genuine miss); the L2 and DRAM legs stay calls.
+        # miss is a genuine miss, and an absent set is an empty one); the
+        # L2 and DRAM legs stay calls.
         l1 = self.l1d
         line = address >> l1.line_shift
-        set_ = l1._sets[line % l1.num_sets]
+        try:
+            set_ = l1._sets[line % l1.num_sets]
+        except KeyError:
+            return self.mem_access_miss(address)
         if line in set_:
             set_[line] = set_.pop(line)
             l1.stats.hits += 1
@@ -309,7 +313,7 @@ class TimingModel:
         l1 = self.l1d
         line = address >> l1.line_shift
         l1.stats.misses += 1
-        l1._install(l1._sets[line % l1.num_sets], line, True)
+        l1._install(line % l1.num_sets, line, True)
         stats.l1d_misses += 1
         if self.l2.access(address):
             return self._l1_latency + self._l2_latency

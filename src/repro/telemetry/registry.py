@@ -41,6 +41,7 @@ delta/merge algebra trivial and the JSON export direct
 from __future__ import annotations
 
 import json
+import weakref
 from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -120,7 +121,7 @@ class MetricsRegistry:
         self._gauges: Dict[str, Tuple[Callable[[], float], str]] = {}
         self._ratios: "Dict[str, Tuple[str, str, float]]" = {}
         self._histograms: Dict[str, Histogram] = {}
-        # (object id, attribute) -> metric name, recorded by
+        # (object or weakref to it, attribute, metric name), recorded by
         # register_object so coverage tests can ask "is this stats
         # attribute reachable as a gauge?" (registered_attributes).
         self._attr_sources: "List[Tuple[object, str, str]]" = []
@@ -172,6 +173,11 @@ class MetricsRegistry:
         name) or a ``{metric_name: attribute_name}`` mapping.  This is
         the bridge from the hot-loop stats dataclasses: the attribute
         stays a bare ``int`` the simulator increments directly.
+
+        ``obj`` may be a ``weakref.ref`` to the object, for an owner
+        that holds this registry itself (a machine registering its own
+        counters): the gauges read through the reference, so the
+        registry does not keep its owner alive in a reference cycle.
         """
         if not self.enabled:
             return
@@ -189,7 +195,8 @@ class MetricsRegistry:
         that never reach a sidecar."""
         return {attribute: metric
                 for source, attribute, metric in self._attr_sources
-                if source is obj}
+                if source is obj or (isinstance(source, weakref.ref)
+                                     and source() is obj)}
 
     def ratio(self, name: str, numerator: str, denominator: str,
               default: float = 0.0) -> None:
@@ -296,8 +303,12 @@ class MetricsRegistry:
 
 
 def _attr_reader(obj: object, attribute: str) -> Callable[[], float]:
-    def read() -> float:
-        return getattr(obj, attribute)
+    if isinstance(obj, weakref.ref):
+        def read() -> float:
+            return getattr(obj(), attribute)
+    else:
+        def read() -> float:
+            return getattr(obj, attribute)
     return read
 
 
